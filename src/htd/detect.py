@@ -26,7 +26,6 @@ from .hypertree import (
     QueryDecomposition,
     complete_hd,
     hd_to_jointree,
-    normalize_hd,
 )
 from .model import ConjunctiveQuery
 
@@ -50,7 +49,12 @@ class _Index:
         return m
 
     def unmask(self, m: int) -> frozenset[str]:
-        return frozenset(x for x in self.vars if self.bit[x] & m)
+        out = []
+        while m:
+            low = m & -m
+            out.append(self.vars[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
 
     def components(self, sep: int) -> tuple[int, ...]:
         """Masks of the maximal [sep]-connected variable sets."""
@@ -96,6 +100,134 @@ def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
     return Hypertree([HtVertex(0, None, frozenset(), frozenset({0}))])
 
 
+class _Search:
+    """Memoized top-down search over (component, border) states.
+
+    The separator candidates are ``idx.candidates(k)``; bit p of a candidate
+    bitset stands for candidate p.  A state's usable candidates, those that
+    cover its border and meet its component, come from ANDing per-variable
+    bitsets, and are tried in list order, so the first success is the same
+    one a linear scan of the list would find.
+    """
+
+    def __init__(self, idx: _Index, k: int):
+        self.idx = idx
+        self.cands = idx.candidates(k)
+        n = len(self.cands)
+        # bit p of atom_bits[i]: candidate p contains atom i; of var_bits[x]:
+        # candidate p contains the variable whose bit is x
+        rows = {i: bytearray((n + 7) // 8) for i in idx.var_atoms}
+        for p, (s, _) in enumerate(self.cands):
+            for i in s:
+                rows[i][p >> 3] |= 1 << (p & 7)
+        self.atom_bits = {
+            i: int.from_bytes(row, "little") for i, row in rows.items()
+        }
+        self.var_bits: dict[int, int] = {}
+        for i, bits in self.atom_bits.items():
+            m = idx.atom_masks[i]
+            while m:
+                x = m & -m
+                self.var_bits[x] = self.var_bits.get(x, 0) | bits
+                m ^= x
+        self._adj: dict[int, tuple[int, int]] = {}
+        self.memo: dict[tuple[int, int], object] = {}
+
+    def adjacent(self, comp: int) -> tuple[int, int]:
+        """Variables of the atoms meeting comp, and the candidates meeting it."""
+        found = self._adj.get(comp)
+        if found is None:
+            variables = bits = 0
+            for i in self.idx.atoms_of(comp):
+                variables |= self.idx.atom_masks[i]
+                bits |= self.atom_bits[i]
+            found = self._adj[comp] = (variables, bits)
+        return found
+
+    def _usable(self, comp: int, border: int):
+        """Candidates covering border and meeting comp, in list order."""
+        bits = self.adjacent(comp)[1]
+        m = border
+        while m and bits:
+            x = m & -m
+            bits &= self.var_bits[x]
+            m ^= x
+        text = bin(bits)
+        top = len(text) - 1
+        j = len(text)
+        while True:
+            j = text.rfind("1", 2, j)
+            if j < 0:
+                return
+            yield top - j
+
+    def solve(self, comp: int, border: int):
+        """Witness (atoms, [(sub, witness), ...]) for the state, or None.
+
+        ``border`` holds the parent separator's variables on the atoms that
+        meet ``comp``; the answer depends on nothing else of the separator.
+        Runs on an explicit stack, one frame per state under evaluation.
+        """
+        memo = self.memo
+        if (comp, border) in memo:
+            return memo[(comp, border)]
+        stack = [_Frame(comp, border, self._usable(comp, border))]
+        while stack:
+            f = stack[-1]
+            if f.pending is not None:
+                if not f.pending:
+                    memo[(f.comp, f.border)] = (f.atoms, f.kids)
+                    stack.pop()
+                    continue
+                sub = f.pending[-1]
+                key = (sub, self.adjacent(sub)[0] & f.var_s)  # sub's state
+                if key not in memo:
+                    stack.append(_Frame(*key, self._usable(*key)))
+                    continue
+                w = memo[key]
+                if w is None:
+                    f.pending = None
+                else:
+                    f.pending.pop()
+                    f.kids.append((sub, w))
+                continue
+            for p in f.usable:
+                atoms, var_s = self.cands[p]
+                # all usable candidates contain the border, so twins that
+                # agree inside comp yield the same substates and fail alike
+                seen = var_s & f.comp
+                if seen in f.tried:
+                    continue
+                f.tried.add(seen)
+                f.atoms, f.var_s, f.kids = atoms, var_s, []
+                f.pending = [
+                    sub for sub in self.idx.components(var_s) if sub & f.comp
+                ][::-1]
+                break
+            else:
+                memo[(f.comp, f.border)] = None
+                stack.pop()
+        return memo[(comp, border)]
+
+
+class _Frame:
+    """One search state on the explicit stack, and the candidate it tries."""
+
+    __slots__ = ("comp", "border", "usable", "tried", "atoms", "var_s",
+                 "pending", "kids")
+
+    def __init__(self, comp: int, border: int, usable):
+        self.comp = comp
+        self.border = border
+        self.usable = usable
+        self.tried: set[int] = set()
+        self.atoms: tuple[int, ...] = ()
+        self.var_s = 0
+        # substates of the current candidate still to solve, last one next
+        self.pending: Optional[list[int]] = None
+        self.kids: list = []
+
+
 def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     """A normal-form decomposition of width <= k, or None if none exists."""
     if k < 1:
@@ -103,69 +235,30 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     idx = _Index(q)
     if not idx.var_atoms:
         return _trivial_tree(q)
-    cands = idx.candidates(k)
-    memo: dict[tuple[int, int], object] = {}
-
-    def solve(comp: int, var_r: int):
-        """Witness subtree for the component under separator vars var_r."""
-        key = (comp, var_r)
-        if key in memo:
-            return memo[key]
-        border = 0
-        for p in idx.atoms_of(comp):
-            border |= idx.atom_masks[p] & var_r
-        result = None
-        for s, var_s in cands:
-            if not var_s & comp:
-                continue
-            if border & ~var_s:
-                continue
-            kids = []
-            for sub in idx.components(var_s):
-                if not sub & comp:
-                    continue
-                child = solve(sub, var_s)
-                if child is None:
-                    kids = None
-                    break
-                kids.append((sub, child))
-            if kids is not None:
-                result = (s, kids)
-                break
-        memo[key] = result
-        return result
-
-    top = idx.components(0)
+    search = _Search(idx, k)
     witnesses = []
-    for comp in top:
-        w = solve(comp, 0)
+    for comp in idx.components(0):
+        w = search.solve(comp, 0)
         if w is None:
             return None
         witnesses.append((comp, w))
 
+    # preorder ids; the first top-level root is the root of the whole tree
     verts: list[HtVertex] = []
-    counter = [0]
-
-    def build(node, comp: int, chi_parent: int, parent_id: Optional[int]):
-        s, kids = node
-        var_s = 0
-        for i in s:
-            var_s |= idx.atom_masks[i]
-        chi = var_s & (chi_parent | comp)
-        lam = frozenset(i for i in s if idx.atom_masks[i] & chi)
-        vid = counter[0]
-        counter[0] += 1
-        verts.append(HtVertex(vid, parent_id, idx.unmask(chi), lam))
-        for sub, child in kids:
-            build(child, sub, chi, vid)
-        return vid
-
-    root_id = None
     for comp, w in witnesses:
-        vid = build(w, comp, 0, root_id)
-        if root_id is None:
-            root_id = vid
-    return normalize_hd(q, Hypertree(verts))
+        stack = [(w, comp, 0, 0 if verts else None)]
+        while stack:
+            (s, kids), comp, chi_parent, parent_id = stack.pop()
+            var_s = 0
+            for i in s:
+                var_s |= idx.atom_masks[i]
+            chi = var_s & (chi_parent | comp)
+            lam = frozenset(i for i in s if idx.atom_masks[i] & chi)
+            vid = len(verts)
+            verts.append(HtVertex(vid, parent_id, idx.unmask(chi), lam))
+            for sub, child in reversed(kids):
+                stack.append((child, sub, chi, vid))
+    return Hypertree(verts)
 
 
 def hypertree_width(

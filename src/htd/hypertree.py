@@ -105,14 +105,19 @@ class Hypertree:
         return out
 
     def canonical(self):
-        """Hashable form for equality up to rooted-tree isomorphism."""
+        """Hashable form for equality up to rooted-tree isomorphism.
 
-        def rec(vid: int):
+        A flat tuple with one (chi, lam, child count) entry per vertex in
+        preorder, children ordered by their own forms; flat so that neither
+        building nor comparing it recurses once per tree level.
+        """
+        forms: dict[int, tuple] = {}
+        for vid in reversed(self._preorder_any()):  # children first
             v = self.vertices[vid]
-            kids = tuple(sorted(rec(c) for c in self.children[vid]))
-            return (tuple(sorted(v.chi)), tuple(sorted(v.lam)), kids)
-
-        return rec(self.root_id) if self.root_id is not None else ()
+            kids = sorted(forms.pop(c) for c in self.children[vid])
+            head = (tuple(sorted(v.chi)), tuple(sorted(v.lam)), len(kids))
+            forms[vid] = (head,) + tuple(e for kid in kids for e in kid)
+        return forms[self.root_id] if self.root_id is not None else ()
 
 
 LabelItem = tuple  # ("atom", index) or ("var", name)
@@ -648,20 +653,45 @@ def hypertree_to_json(q: ConjunctiveQuery, h: Hypertree) -> str:
     return json.dumps({"query": str(q), "nodes": nodes}, indent=2) + "\n"
 
 
+def _json_nodes(text: str) -> tuple[Optional[ConjunctiveQuery], list[dict]]:
+    """The query (if any) and node objects of a decomposition file."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError("top level is not an object")
+    query = doc.get("query")
+    if query is not None and not isinstance(query, str):
+        raise TypeError('"query" is not a string')
+    nodes = _json_list(doc, "nodes")
+    if not all(isinstance(n, dict) for n in nodes):
+        raise TypeError("a node is not an object")
+    return (parse_query(query) if query else None), nodes
+
+
+def _json_list(obj: dict, key: str) -> list:
+    """obj[key], which must be a list (a string would read as its letters)."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f'"{key}" is not a list')
+    return value
+
+
+def _json_parent(n: dict) -> Optional[int]:
+    return None if n["parent"] is None else int(n["parent"])
+
+
 def hypertree_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], Hypertree]:
     try:
-        doc = json.loads(text)
-        q = parse_query(doc["query"]) if doc.get("query") else None
+        q, nodes = _json_nodes(text)
         verts = [
             HtVertex(
                 int(n["id"]),
-                None if n["parent"] is None else int(n["parent"]),
-                frozenset(n["chi"]),
-                frozenset(int(i) for i in n["lambda"]),
+                _json_parent(n),
+                frozenset(_json_list(n, "chi")),
+                frozenset(int(i) for i in _json_list(n, "lambda")),
             )
-            for n in doc["nodes"]
+            for n in nodes
         ]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise DecompositionFormatError(f"bad decomposition file: {e}") from e
     return q, Hypertree(verts)
 
@@ -681,23 +711,18 @@ def qd_to_json(q: ConjunctiveQuery, d: QueryDecomposition) -> str:
 
 def qd_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], QueryDecomposition]:
     try:
-        doc = json.loads(text)
-        q = parse_query(doc["query"]) if doc.get("query") else None
+        q, nodes = _json_nodes(text)
         verts = []
-        for n in doc["nodes"]:
+        for n in nodes:
             label = set()
-            for item in n["label"]:
+            for item in _json_list(n, "label"):
+                if not isinstance(item, dict):
+                    raise TypeError("a label item is not an object")
                 if "atom" in item:
                     label.add(("atom", int(item["atom"])))
                 else:
                     label.add(("var", str(item["var"])))
-            verts.append(
-                QdVertex(
-                    int(n["id"]),
-                    None if n["parent"] is None else int(n["parent"]),
-                    frozenset(label),
-                )
-            )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+            verts.append(QdVertex(int(n["id"]), _json_parent(n), frozenset(label)))
+    except (KeyError, TypeError, ValueError) as e:
         raise DecompositionFormatError(f"bad decomposition file: {e}") from e
     return q, QueryDecomposition(verts)

@@ -133,6 +133,41 @@ def test_check_qd(files, capsys):
     assert run(["check", q, d, "--qd"]) == 0
 
 
+HD_NODE = {"id": 0, "parent": None, "chi": ["X", "Y", "Z"], "lambda": [0, 1]}
+QD_NODE = {"id": 0, "parent": None, "label": [{"atom": 0}, {"atom": 1}]}
+
+
+@pytest.mark.parametrize(
+    "doc, qd",
+    [
+        ([HD_NODE], False),  # top level is a list
+        ([QD_NODE], True),
+        ({"query": TRIANGLE_TEXT, "nodes": [HD_NODE, 7]}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [["id", 0]]}, True),
+        ({"query": TRIANGLE_TEXT, "nodes": {"0": HD_NODE}}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(HD_NODE, chi="XYZ")]}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(HD_NODE, **{"lambda": "01"})]}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(QD_NODE, label="01")]}, True),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(QD_NODE, label=[0, 1])]}, True),
+        ({"query": 5, "nodes": [HD_NODE]}, False),
+    ],
+)
+def test_check_malformed_json(files, capsys, doc, qd):
+    _, put = files
+    q = put("q.txt", TRIANGLE_TEXT)
+    d = put("d.json", json.dumps(doc))
+    assert run(["check", q, d] + (["--qd"] if qd else [])) == 2
+    assert "bad decomposition file" in capsys.readouterr().err
+
+
+def test_width_deep_acyclic_query(files, capsys):
+    _, put = files
+    path = " , ".join(f"r(X{i},X{i + 1})" for i in range(1100))
+    q = put("q.txt", f"ans <- {path}.")
+    assert run(["width", q]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_width(files, capsys):
     _, put = files
     q = put("q.txt", Q5_TEXT)

@@ -13,7 +13,9 @@ from htd import (
     parse_query,
 )
 from htd.hypertree import (
+    Hypertree,
     complete_hd,
+    normalize_hd,
     qd_to_hd,
     validate_hd,
     validate_jointree,
@@ -67,6 +69,33 @@ def test_decompose_variable_free_atoms_only():
     q = parse_query("ans <- r(a,b), s(c).")
     h = decompose(q, 1)
     assert h is not None and len(h) == 1
+
+
+def test_raw_build_is_normal_form():
+    """decompose returns its raw build: already in normal form, and a fixed
+    point of normalize_hd."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        q = util.rand_query(rng, max_atoms=rng.choice([4, 6, 8]), max_vars=7)
+        for k in (1, 2, 3):
+            h = decompose(q, k)
+            if h is None or not len(h):
+                continue
+            assert validate_nf(q, h).valid, (seed, k)
+            assert list(normalize_hd(q, h)) == list(h), (seed, k)
+
+
+def test_decompose_deep_path():
+    n = 1100
+    q = parse_query(
+        "ans <- " + ", ".join(f"r(X{i},X{i + 1})" for i in range(n)) + "."
+    )
+    h = decompose(q, 1)
+    assert h is not None and len(h) == n
+    assert validate_hd(q, h).valid
+    form = h.canonical()
+    assert len(form) == n
+    assert form == Hypertree(reversed(list(h))).canonical()
 
 
 def test_decompose_disconnected_query():
