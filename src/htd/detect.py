@@ -15,8 +15,9 @@ Three engines are provided and must agree:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
+from .components import _Index
 from .errors import InconclusiveError
 from .hypertree import (
     Hypertree,
@@ -28,69 +29,6 @@ from .hypertree import (
     hd_to_jointree,
 )
 from .model import ConjunctiveQuery
-
-
-class _Index:
-    """Bitmask view of a query: one bit per variable."""
-
-    def __init__(self, q: ConjunctiveQuery):
-        self.q = q
-        self.vars = sorted(q.variables())
-        self.bit = {x: 1 << i for i, x in enumerate(self.vars)}
-        self.atom_masks = [self.mask(a.variables()) for a in q.body]
-        self.var_atoms = [i for i, m in enumerate(self.atom_masks) if m]
-        self.all_mask = (1 << len(self.vars)) - 1
-        self._comp_cache: dict[int, tuple[int, ...]] = {}
-
-    def mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for x in names:
-            m |= self.bit[x]
-        return m
-
-    def unmask(self, m: int) -> frozenset[str]:
-        out = []
-        while m:
-            low = m & -m
-            out.append(self.vars[low.bit_length() - 1])
-            m ^= low
-        return frozenset(out)
-
-    def components(self, sep: int) -> tuple[int, ...]:
-        """Masks of the maximal [sep]-connected variable sets."""
-        cached = self._comp_cache.get(sep)
-        if cached is not None:
-            return cached
-        edges = [m & ~sep for m in self.atom_masks if m & ~sep]
-        comps: list[int] = []
-        for e in edges:
-            merged = e
-            rest = []
-            for c in comps:
-                if c & merged:
-                    merged |= c
-                else:
-                    rest.append(c)
-            rest.append(merged)
-            comps = rest
-        comps.sort(key=lambda c: c & -c)  # by least variable bit
-        result = tuple(comps)
-        self._comp_cache[sep] = result
-        return result
-
-    def atoms_of(self, comp: int) -> list[int]:
-        return [i for i in self.var_atoms if self.atom_masks[i] & comp]
-
-    def candidates(self, k: int) -> list[tuple[tuple[int, ...], int]]:
-        """All separator candidates of size 1..k, lexicographic."""
-        out = []
-        for size in range(1, k + 1):
-            for s in combinations(self.var_atoms, size):
-                m = 0
-                for i in s:
-                    m |= self.atom_masks[i]
-                out.append((s, m))
-        return out
 
 
 def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
@@ -265,8 +203,7 @@ def hypertree_width(
     q: ConjunctiveQuery, k_max: Optional[int] = None
 ) -> Optional[tuple[int, Hypertree]]:
     """Smallest width and a witness, searching k = 1..k_max."""
-    idx = _Index(q)
-    bound = max(1, len(idx.var_atoms))
+    bound = max(1, sum(1 for a in q.body if a.variables()))
     if k_max is not None:
         bound = min(bound, k_max)
     for k in range(1, bound + 1):

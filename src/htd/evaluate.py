@@ -14,7 +14,7 @@ from typing import Optional
 
 from .detect import hypertree_width
 from .errors import DatabaseFormatError, InconclusiveError, InvalidDecompositionError
-from .hypertree import Hypertree, JoinTree, JtVertex, complete_hd, is_complete, validate_hd
+from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd, complete_hd, is_complete
 from .model import Atom, ConjunctiveQuery, Database, variable
 
 Schema = tuple[str, ...]
@@ -147,11 +147,7 @@ def _prepare(
             )
         hd = found[1]
     else:
-        report = validate_hd(q, hd)
-        if not report.valid:
-            raise InvalidDecompositionError(
-                f"not a valid hypertree decomposition: {report.violations[0]}"
-            )
+        _require_hd(q, hd)
     if not is_complete(q, hd):
         hd = complete_hd(q, hd)
     return hd
@@ -163,6 +159,15 @@ def _variable_free_ok(q: ConjunctiveQuery, db: Database) -> bool:
             if tuple(t.name for t in a.args) not in db.tuples(a.relation):
                 return False
     return True
+
+
+def _semijoin_up(hd: Hypertree, order: list[int], rels: dict) -> None:
+    """Bottom-up semijoin pass along the preorder, in place."""
+    for vid in reversed(order):
+        p = hd.parent[vid]
+        if p is not None:
+            ps, pr = rels[p]
+            rels[p] = (ps, _semijoin(ps, pr, *rels[vid]))
 
 
 def eval_boolean(
@@ -178,12 +183,7 @@ def eval_boolean(
         return True
     hd = _prepare(q, db, hd, k_cap)
     rels = _vertex_tables(q, hd, db)
-    for vid in reversed(hd.preorder()):
-        v = hd.vertices[vid]
-        if v.parent is None:
-            continue
-        ps, pr = rels[v.parent]
-        rels[v.parent] = (ps, _semijoin(ps, pr, *rels[vid]))
+    _semijoin_up(hd, hd.preorder(), rels)
     return bool(rels[hd.root_id][1])
 
 
@@ -204,11 +204,7 @@ def eval_full(
     rels = _vertex_tables(q, hd, db)
     order = hd.preorder()
     # full reducer: semijoin up, then down
-    for vid in reversed(order):
-        v = hd.vertices[vid]
-        if v.parent is not None:
-            ps, pr = rels[v.parent]
-            rels[v.parent] = (ps, _semijoin(ps, pr, *rels[vid]))
+    _semijoin_up(hd, order, rels)
     for vid in order:
         v = hd.vertices[vid]
         if v.parent is not None:

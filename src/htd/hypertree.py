@@ -12,9 +12,65 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .components import Component, v_components
+from .components import _Index
 from .errors import DecompositionFormatError, InvalidDecompositionError
 from .model import ConjunctiveQuery, atoms_vars, parse_query
+
+
+class _RootedTree:
+    """Parent, child and root links of a rooted tree; may be empty.
+
+    Vertices are keyed by their ``key`` attribute and name their parent
+    by the same key.  Raises DecompositionFormatError on a duplicate key,
+    an unknown parent, more than one root, or a parent cycle.
+    """
+
+    def __init__(self, vertices: Iterable, key: str = "id"):
+        self.vertices: dict = {}
+        for v in vertices:
+            vid = getattr(v, key)
+            if vid in self.vertices:
+                raise DecompositionFormatError(f"duplicate vertex {key} {vid}")
+            self.vertices[vid] = v
+        self.parent: dict[int, Optional[int]] = {
+            vid: v.parent for vid, v in self.vertices.items()
+        }
+        self.children: dict[int, list[int]] = {i: [] for i in self.vertices}
+        roots = []
+        for vid, p in self.parent.items():
+            if p is None:
+                roots.append(vid)
+            elif p not in self.children:
+                raise DecompositionFormatError(
+                    f"vertex {vid} has unknown parent {p}"
+                )
+            else:
+                self.children[p].append(vid)
+        if self.vertices and len(roots) != 1:
+            raise DecompositionFormatError("expected exactly one root vertex")
+        self.root_id: Optional[int] = roots[0] if roots else None
+        # with one root, a parent cycle is a set of vertices it cannot reach
+        if self.vertices and len(self.subtree_ids(roots[0])) != len(self):
+            raise DecompositionFormatError("parent links do not form a tree")
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices.values())
+
+    def subtree_ids(self, vid: int) -> list[int]:
+        return _subtree(self.children, vid)
+
+
+def _subtree(children: dict[int, list[int]], vid: int) -> list[int]:
+    """vid and its descendants, each parent before its children."""
+    out, stack = [], [vid]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(children[v])
+    return out
 
 
 @dataclass(frozen=True)
@@ -25,59 +81,12 @@ class HtVertex:
     lam: frozenset[int]
 
 
-class Hypertree:
+class Hypertree(_RootedTree):
     """Rooted labeled tree; may be empty (decomposition of an empty body)."""
-
-    def __init__(self, vertices: Iterable[HtVertex]):
-        self.vertices: dict[int, HtVertex] = {}
-        roots = []
-        for v in vertices:
-            if v.id in self.vertices:
-                raise DecompositionFormatError(f"duplicate vertex id {v.id}")
-            self.vertices[v.id] = v
-            if v.parent is None:
-                roots.append(v.id)
-        self.children: dict[int, list[int]] = {i: [] for i in self.vertices}
-        for v in self.vertices.values():
-            if v.parent is not None:
-                if v.parent not in self.vertices:
-                    raise DecompositionFormatError(
-                        f"vertex {v.id} has unknown parent {v.parent}"
-                    )
-                self.children[v.parent].append(v.id)
-        if self.vertices and len(roots) != 1:
-            raise DecompositionFormatError("expected exactly one root vertex")
-        self.root_id: Optional[int] = roots[0] if roots else None
-        if len(self._preorder_any()) != len(self.vertices):
-            raise DecompositionFormatError("parent links do not form a tree")
-
-    def _preorder_any(self) -> list[int]:
-        if self.root_id is None:
-            return []
-        out, stack = [], [self.root_id]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices.values())
 
     @property
     def root(self) -> Optional[HtVertex]:
         return None if self.root_id is None else self.vertices[self.root_id]
-
-    def subtree_ids(self, vid: int) -> list[int]:
-        out, stack = [], [vid]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
 
     def chi_subtree(self, vid: int) -> frozenset[str]:
         out: set[str] = set()
@@ -111,13 +120,15 @@ class Hypertree:
         preorder, children ordered by their own forms; flat so that neither
         building nor comparing it recurses once per tree level.
         """
+        if self.root_id is None:
+            return ()
         forms: dict[int, tuple] = {}
-        for vid in reversed(self._preorder_any()):  # children first
+        for vid in reversed(self.subtree_ids(self.root_id)):  # children first
             v = self.vertices[vid]
             kids = sorted(forms.pop(c) for c in self.children[vid])
             head = (tuple(sorted(v.chi)), tuple(sorted(v.lam)), len(kids))
             forms[vid] = (head,) + tuple(e for kid in kids for e in kid)
-        return forms[self.root_id] if self.root_id is not None else ()
+        return forms[self.root_id]
 
 
 LabelItem = tuple  # ("atom", index) or ("var", name)
@@ -130,27 +141,13 @@ class QdVertex:
     label: frozenset[LabelItem]
 
 
-class QueryDecomposition:
+class QueryDecomposition(_RootedTree):
+    """Rooted tree labeled with atoms and variables; never empty."""
+
     def __init__(self, vertices: Iterable[QdVertex]):
-        self.vertices: dict[int, QdVertex] = {v.id: v for v in vertices}
-        roots = [v.id for v in self.vertices.values() if v.parent is None]
-        if len(roots) != 1:
+        super().__init__(vertices)
+        if self.root_id is None:
             raise DecompositionFormatError("expected exactly one root vertex")
-        self.root_id = roots[0]
-        self.children: dict[int, list[int]] = {i: [] for i in self.vertices}
-        for v in self.vertices.values():
-            if v.parent is not None:
-                if v.parent not in self.vertices:
-                    raise DecompositionFormatError(
-                        f"vertex {v.id} has unknown parent {v.parent}"
-                    )
-                self.children[v.parent].append(v.id)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices.values())
 
     def is_pure(self) -> bool:
         return all(
@@ -182,28 +179,11 @@ class JtVertex:
     parent: Optional[int]  # parent atom index
 
 
-class JoinTree:
+class JoinTree(_RootedTree):
     """Tree over the body atoms; each atom occurs exactly once."""
 
     def __init__(self, vertices: Iterable[JtVertex]):
-        self.vertices: dict[int, JtVertex] = {}
-        roots = []
-        for v in vertices:
-            if v.atom in self.vertices:
-                raise DecompositionFormatError(f"atom {v.atom} occurs twice")
-            self.vertices[v.atom] = v
-            if v.parent is None:
-                roots.append(v.atom)
-        if self.vertices and len(roots) != 1:
-            raise DecompositionFormatError("expected exactly one root")
-        self.root_id = roots[0] if roots else None
-        self.children: dict[int, list[int]] = {i: [] for i in self.vertices}
-        for v in self.vertices.values():
-            if v.parent is not None:
-                self.children[v.parent].append(v.atom)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        super().__init__(vertices, key="atom")
 
     def __bool__(self) -> bool:
         # an empty join tree (empty-body query) is still a positive answer
@@ -230,7 +210,7 @@ class ValidationReport:
         return frozenset(v.condition for v in self.violations)
 
 
-def _connected(tree_children, parents, members: set) -> bool:
+def _connected(parents: dict, members: set) -> bool:
     """Do the member vertices induce a connected subtree?"""
     if len(members) <= 1:
         return True
@@ -259,7 +239,6 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the four hypertree-decomposition conditions."""
     _check_refs(q, h)
     violations = []
-    parents = {v.id: v.parent for v in h}
     # condition 1: every atom covered by some chi
     for a in q.body:
         avars = a.variables()
@@ -270,7 +249,7 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     # condition 2: per-variable connectedness
     for x in sorted(q.variables()):
         members = {v.id for v in h if x in v.chi}
-        if not _connected(h.children, parents, members):
+        if not _connected(h.parent, members):
             violations.append(
                 Violation("HD2", sorted(members), f"variable {x} disconnected")
             )
@@ -309,7 +288,6 @@ def validate_qd(q: ConjunctiveQuery, d: QueryDecomposition) -> ValidationReport:
                     f"vertex {v.id}: unknown variable {x}"
                 )
     violations = []
-    parents = {v.id: v.parent for v in d}
     covered = set()
     for v in d:
         covered |= d.label_atoms(v.id)
@@ -320,17 +298,26 @@ def validate_qd(q: ConjunctiveQuery, d: QueryDecomposition) -> ValidationReport:
             )
     for a in q.body:
         members = {v.id for v in d if a.index in d.label_atoms(v.id)}
-        if not _connected(d.children, parents, members):
+        if not _connected(d.parent, members):
             violations.append(
                 Violation("QD2", sorted(members), f"atom {a.index} disconnected")
             )
     for x in sorted(qvars):
         members = {v.id for v in d if x in d.label_vars(q, v.id)}
-        if not _connected(d.children, parents, members):
+        if not _connected(d.parent, members):
             violations.append(
                 Violation("QD3", sorted(members), f"variable {x} disconnected")
             )
     return ValidationReport(tuple(violations))
+
+
+def _require_hd(q: ConjunctiveQuery, h: Hypertree) -> None:
+    """Raise InvalidDecompositionError unless h is a valid decomposition of q."""
+    report = validate_hd(q, h)
+    if not report.valid:
+        raise InvalidDecompositionError(
+            f"not a valid hypertree decomposition: {report.violations[0]}"
+        )
 
 
 def hd_width(h: Hypertree) -> int:
@@ -339,11 +326,7 @@ def hd_width(h: Hypertree) -> int:
 
 def complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     """Attach a leaf per atom lacking a strong cover; width never grows."""
-    report = validate_hd(q, h)
-    if not report.valid:
-        raise InvalidDecompositionError(
-            f"not a valid hypertree decomposition: {report.violations[0]}"
-        )
+    _require_hd(q, h)
     verts = dict(h.vertices)
     next_id = max(verts, default=-1) + 1
     order = h.preorder()
@@ -373,27 +356,22 @@ def is_complete(q: ConjunctiveQuery, h: Hypertree) -> bool:
 
 
 def _nf_component(
-    q: ConjunctiveQuery, h: Hypertree, s: HtVertex
-) -> tuple[list[Component], Optional[frozenset[str]]]:
-    """Components of [chi(parent)] matching NF condition 1 for child s."""
+    idx: _Index, h: Hypertree, s: HtVertex
+) -> Optional[frozenset[str]]:
+    """The unique [chi(parent)]-component matching NF condition 1 for child s."""
     r = h.vertices[s.parent]
-    chi_ts = h.chi_subtree(s.id)
-    comps = [c for c in v_components(q, r.chi) if c.members & chi_ts]
+    chi_ts = idx.mask(h.chi_subtree(s.id))
+    shared = idx.mask(s.chi & r.chi)
     matching = [
-        c.members
-        for c in comps
-        if chi_ts == c.members | (s.chi & r.chi)
+        c for c in idx.components(idx.mask(r.chi)) if chi_ts == c | shared
     ]
-    return comps, (matching[0] if len(matching) == 1 else None)
+    return idx.unmask(matching[0]) if len(matching) == 1 else None
 
 
 def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the three normal-form conditions; records treecomp per vertex."""
-    base = validate_hd(q, h)
-    if not base.valid:
-        raise InvalidDecompositionError(
-            f"not a valid hypertree decomposition: {base.violations[0]}"
-        )
+    _require_hd(q, h)
+    idx = _Index(q)
     violations = []
     tc: dict[int, frozenset[str]] = {}
     if h.root_id is not None:
@@ -402,7 +380,7 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
         if s.parent is None:
             continue
         r = h.vertices[s.parent]
-        comps, match = _nf_component(q, h, s)
+        match = _nf_component(idx, h, s)
         if match is None:
             violations.append(
                 Violation(
@@ -439,30 +417,19 @@ def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
 
 def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     """Rewrite a valid decomposition into normal form (same width bound)."""
-    report = validate_hd(q, h)
-    if not report.valid:
-        raise InvalidDecompositionError(
-            f"not a valid hypertree decomposition: {report.violations[0]}"
-        )
+    _require_hd(q, h)
     if h.root_id is None:
         return h
-    parent = {v.id: v.parent for v in h}
+    idx = _Index(q)
+    parent = dict(h.parent)
     chi = {v.id: set(v.chi) for v in h}
     lam = {v.id: v.lam for v in h}
-    children = {v.id: list(h.children[v.id]) for v in h}
+    children = {vid: list(kids) for vid, kids in h.children.items()}
     root = h.root_id
     next_id = max(parent) + 1
 
-    def subtree(vid):
-        out, stack = [], [vid]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(children[v])
-        return out
-
     def delete_subtree(vid):
-        for w in subtree(vid):
+        for w in _subtree(children, vid):
             del parent[w], chi[w], lam[w], children[w]
 
     fuel = 10000 * (len(h) + 1)
@@ -475,9 +442,9 @@ def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
             if fuel < 0:
                 raise RuntimeError("normalization did not converge")
             stable = True
-            comps = [c.members for c in v_components(q, frozenset(chi[r]))]
+            comps = [idx.unmask(c) for c in idx.components(idx.mask(chi[r]))]
             for s in list(children[r]):
-                sub = subtree(s)
+                sub = _subtree(children, s)
                 chi_ts = set().union(*(chi[v] for v in sub))
                 meeting = [c for c in comps if c & chi_ts]
                 shared = chi[s] & chi[r]
@@ -549,11 +516,7 @@ def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:
 
 def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
     """Collapse a complete width-1 decomposition to a join tree."""
-    report = validate_hd(q, h)
-    if not report.valid:
-        raise InvalidDecompositionError(
-            f"not a valid hypertree decomposition: {report.violations[0]}"
-        )
+    _require_hd(q, h)
     if h.width() > 1:
         raise InvalidDecompositionError(f"width {h.width()} > 1")
     if not is_complete(q, h):
@@ -623,13 +586,12 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
 def validate_jointree(q: ConjunctiveQuery, jt: JoinTree) -> ValidationReport:
     """Connectedness condition: each variable induces a connected subtree."""
     violations = []
-    parents = {v.atom: v.parent for v in jt.vertices.values()}
-    if set(parents) != {a.index for a in q.body}:
+    if set(jt.parent) != {a.index for a in q.body}:
         violations.append(Violation("JT0", None, "atoms not covered exactly once"))
         return ValidationReport(tuple(violations))
     for x in sorted(q.variables()):
         members = {a.index for a in q.body if x in a.variables()}
-        if not _connected(jt.children, parents, members):
+        if not _connected(jt.parent, members):
             violations.append(
                 Violation("JT1", sorted(members), f"variable {x} disconnected")
             )

@@ -160,6 +160,34 @@ def test_check_malformed_json(files, capsys, doc, qd):
     assert "bad decomposition file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        (
+            [
+                {"id": 0, "parent": None, "label": [{"atom": 0}]},
+                {"id": 1, "parent": 2, "label": [{"atom": 1}]},
+                {"id": 2, "parent": 1, "label": []},
+            ],
+            "parent links do not form a tree",
+        ),
+        (
+            [
+                {"id": 0, "parent": None, "label": [{"atom": 0}]},
+                {"id": 0, "parent": None, "label": [{"atom": 1}]},
+            ],
+            "duplicate vertex id 0",
+        ),
+    ],
+)
+def test_check_qd_bad_tree_shape(files, capsys, nodes, message):
+    _, put = files
+    q = put("q.txt", "ans <- r(X), s(Y).")
+    d = put("d.json", json.dumps({"nodes": nodes}))
+    assert run(["check", q, d, "--qd"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_width_deep_acyclic_query(files, capsys):
     _, put = files
     path = " , ".join(f"r(X{i},X{i + 1})" for i in range(1100))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from htd import (
     DecompositionFormatError,
     InvalidDecompositionError,
+    brute_force_qw,
     decompose,
     parse_query,
 )
@@ -273,6 +274,55 @@ def test_normalize_random_trivial_trees(seed):
     assert len(n) <= max(1, len(q.variables()))
 
 
+def rerooted(h, new_root):
+    """The same tree hung from another vertex: the parent links on the path
+    from new_root to the old root are reversed."""
+    parent = dict(h.parent)
+    prev, v = None, new_root
+    while v is not None:
+        parent[v], prev, v = prev, v, parent[v]
+    return Hypertree(HtVertex(u.id, parent[u.id], u.chi, u.lam) for u in h)
+
+
+def test_normalize_query_width_trees():
+    """normalize_hd on trees read off pure query decompositions, completed
+    or not, and rerooted at their last vertex; chi = var(lambda) keeps every
+    one of them valid, and most are not in normal form."""
+    trees = not_nf = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        q = util.rand_query(rng, max_atoms=rng.choice([4, 6]), max_vars=7)
+        for k in (1, 2, 3):
+            d = brute_force_qw(q, k)
+            if d is None:
+                continue
+            h = qd_to_hd(q, d)
+            for t0 in (h, complete_hd(q, h)):
+                for t in (t0, rerooted(t0, max(t0.vertices))):
+                    trees += 1
+                    not_nf += not validate_nf(q, t).valid
+                    n = normalize_hd(q, t)
+                    assert validate_nf(q, n).valid, (seed, k)
+                    assert n.width() <= t.width(), (seed, k)
+                    assert list(normalize_hd(q, n)) == list(n), (seed, k)
+    assert not_nf >= trees // 3, (not_nf, trees)
+
+
+def test_normalize_adds_missing_parent_variables():
+    # NF3: s's lambda has X, which is in chi(parent) but not in chi(s)
+    q = parse_query("ans <- a(X,Y), b(Y,Z).")
+    h = Hypertree(
+        [
+            HtVertex(0, None, frozenset("XY"), frozenset({0})),
+            HtVertex(1, 0, frozenset("YZ"), frozenset({0, 1})),
+        ]
+    )
+    assert validate_nf(q, h).conditions() == {"NF3"}
+    n = normalize_hd(q, h)
+    assert validate_nf(q, n).valid
+    assert n.vertices[1].chi == frozenset("XYZ")
+
+
 # --- conversions -----------------------------------------------------------
 
 
@@ -324,6 +374,31 @@ def test_jointree_validator_catches_break(q2):
         [JtVertex(1, None), JtVertex(0, 1), JtVertex(2, 0)]
     )
     assert not validate_jointree(q2, jt).valid
+
+
+BAD_SHAPES = {
+    "duplicate id": [(0, None), (1, 0), (1, 0)],
+    "unknown parent": [(0, None), (1, 7)],
+    "two roots": [(0, None), (1, None)],
+    "detached cycle": [(0, None), (1, 2), (2, 1)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda links: Hypertree(
+            HtVertex(i, p, frozenset(), frozenset()) for i, p in links
+        ),
+        lambda links: QueryDecomposition(QdVertex(i, p, frozenset()) for i, p in links),
+        lambda links: JoinTree(JtVertex(i, p) for i, p in links),
+    ],
+    ids=["hd", "qd", "jt"],
+)
+def test_trees_reject_bad_shapes(make, shape):
+    with pytest.raises(DecompositionFormatError):
+        make(BAD_SHAPES[shape])
 
 
 # --- serialization ---------------------------------------------------------
