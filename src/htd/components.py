@@ -6,8 +6,8 @@ of that graph.  Every variable outside V that occurs in some atom counts as
 connected to itself (the degenerate single-variable path).
 
 Components are computed in one place, ``_Index``: a bitmask view of the
-query that the width search, the normal-form validator and
-``normalize_hd`` share, and that ``v_components`` wraps.
+query that the width search (which ``normalize_hd`` also runs) and the
+normal-form validator share, and that ``v_components`` wraps.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Three engines are provided and must agree:
 
 * ``decompose``: a memoized top-down search over separator candidates that
-  also builds a witness decomposition in normal form,
+  also builds a witness decomposition in normal form; ``normalize_hd`` runs
+  the same search over the labels of the tree it is given,
 * ``fixpoint_decide``: a bottom-up evaluation of the decomposable-component
   pairs, decision only,
 * ``brute_force_qw``: a complete but budgeted search over pure query
@@ -41,16 +42,18 @@ def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
 class _Search:
     """Memoized top-down search over (component, border) states.
 
-    The separator candidates are ``idx.candidates(k)``; bit p of a candidate
-    bitset stands for candidate p.  A state's usable candidates, those that
-    cover its border and meet its component, come from ANDing per-variable
-    bitsets, and are tried in list order, so the first success is the same
-    one a linear scan of the list would find.
+    ``cands`` lists the separator candidates as (atoms, variable mask)
+    pairs: ``idx.candidates(k)`` for the width search, a tree's λ labels for
+    ``normalize_hd``.  Bit p of a candidate bitset stands for candidate p.
+    A state's usable candidates, those that cover its border and meet its
+    component, come from ANDing per-variable bitsets, and are tried in list
+    order, so the first success is the same one a linear scan of the list
+    would find.
     """
 
-    def __init__(self, idx: _Index, k: int):
+    def __init__(self, idx: _Index, cands: list[tuple[tuple[int, ...], int]]):
         self.idx = idx
-        self.cands = idx.candidates(k)
+        self.cands = cands
         n = len(self.cands)
         # bit p of atom_bits[i]: candidate p contains atom i; of var_bits[x]:
         # candidate p contains the variable whose bit is x
@@ -173,7 +176,17 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     idx = _Index(q)
     if not idx.var_atoms:
         return _trivial_tree(q)
-    search = _Search(idx, k)
+    return _search_tree(idx, idx.candidates(k))
+
+
+def _search_tree(
+    idx: _Index, cands: list[tuple[tuple[int, ...], int]]
+) -> Optional[Hypertree]:
+    """The normal-form tree the search builds over cands, or None if none.
+
+    idx must have at least one atom with variables.
+    """
+    search = _Search(idx, cands)
     witnesses = []
     for comp in idx.components(0):
         w = search.solve(comp, 0)

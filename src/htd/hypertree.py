@@ -60,17 +60,13 @@ class _RootedTree:
         return iter(self.vertices.values())
 
     def subtree_ids(self, vid: int) -> list[int]:
-        return _subtree(self.children, vid)
-
-
-def _subtree(children: dict[int, list[int]], vid: int) -> list[int]:
-    """vid and its descendants, each parent before its children."""
-    out, stack = [], [vid]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(children[v])
-    return out
+        """vid and its descendants, each parent before its children."""
+        out, stack = [], [vid]
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            stack.extend(self.children[v])
+        return out
 
 
 @dataclass(frozen=True)
@@ -416,83 +412,29 @@ def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
 
 
 def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
-    """Rewrite a valid decomposition into normal form (same width bound)."""
-    _require_hd(q, h)
-    if h.root_id is None:
+    """A normal-form decomposition whose λ labels are subsets of h's.
+
+    h itself if it is in normal form; otherwise the width search's witness
+    over h's λ labels, which exists because every decomposition has a
+    normal form built from its own labels.
+    """
+    if validate_nf(q, h).valid:
         return h
     idx = _Index(q)
-    parent = dict(h.parent)
-    chi = {v.id: set(v.chi) for v in h}
-    lam = {v.id: v.lam for v in h}
-    children = {vid: list(kids) for vid, kids in h.children.items()}
-    root = h.root_id
-    next_id = max(parent) + 1
+    if not idx.var_atoms:  # no variables: the root alone is in normal form
+        return Hypertree([h.root])
+    cands: dict[tuple[int, ...], int] = {}
+    for vid in h.preorder():
+        s = tuple(sorted(i for i in h.vertices[vid].lam if idx.atom_masks[i]))
+        if s and s not in cands:
+            cands[s] = idx.mask(atoms_vars(q, s))
+    # imported here because detect imports this module
+    from .detect import _search_tree
 
-    def delete_subtree(vid):
-        for w in _subtree(children, vid):
-            del parent[w], chi[w], lam[w], children[w]
-
-    fuel = 10000 * (len(h) + 1)
-    queue = [root]
-    while queue:
-        r = queue.pop(0)
-        stable = False
-        while not stable:
-            fuel -= 1
-            if fuel < 0:
-                raise RuntimeError("normalization did not converge")
-            stable = True
-            comps = [idx.unmask(c) for c in idx.components(idx.mask(chi[r]))]
-            for s in list(children[r]):
-                sub = _subtree(children, s)
-                chi_ts = set().union(*(chi[v] for v in sub))
-                meeting = [c for c in comps if c & chi_ts]
-                shared = chi[s] & chi[r]
-                if len(meeting) == 1 and chi_ts == set(meeting[0]) | shared:
-                    c_r = meeting[0]
-                    if not (chi[s] & c_r):
-                        # redundant child: chi(s) inside chi(r); splice it out
-                        for g in children[s]:
-                            parent[g] = r
-                            children[r].append(g)
-                        children[s] = []
-                        children[r].remove(s)
-                        delete_subtree(s)
-                        stable = False
-                        break
-                    missing = (atoms_vars(q, lam[s]) & chi[r]) - chi[s]
-                    if missing:
-                        chi[s] |= missing
-                    continue
-                # condition 1 violated: split the subtree per component
-                children[r].remove(s)
-                for c in sorted(meeting, key=min):
-                    holders = {v for v in sub if chi[v] & c}
-                    mapping = {}
-                    for v in sub:  # parents precede children here
-                        if v not in holders:
-                            continue
-                        nid = next_id
-                        next_id += 1
-                        # nearest copied ancestor, else attach under r
-                        anc = parent[v]
-                        while anc != r and anc not in mapping:
-                            anc = parent[anc]
-                        pid = mapping.get(anc, r)
-                        mapping[v] = nid
-                        parent[nid] = pid
-                        chi[nid] = chi[v] & (set(c) | chi[r])
-                        lam[nid] = lam[v]
-                        children[nid] = []
-                        children[pid].append(nid)
-                delete_subtree(s)
-                stable = False
-                break
-        queue.extend(children[r])
-    verts = [
-        HtVertex(v, parent[v], frozenset(chi[v]), lam[v]) for v in parent
-    ]
-    return Hypertree(verts)
+    n = _search_tree(idx, list(cands.items()))
+    if n is None:
+        raise RuntimeError("no normal form over the decomposition's labels")
+    return n
 
 
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:
@@ -558,7 +500,9 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
     for vid in sorted(h.vertices):
         if vid in keep:
             continue
-        n = toward(vid, keep)
+        # the designated vertex of v's own atom holds chi(v), and so does
+        # every vertex on the way to it; a vertex with empty lam has no chi
+        n = toward(vid, {designated[a] for a in h.vertices[vid].lam} or keep)
         for m in adj[vid]:
             if m != n:
                 adj[m].discard(vid)

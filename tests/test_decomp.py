@@ -304,6 +304,9 @@ def test_normalize_query_width_trees():
                     n = normalize_hd(q, t)
                     assert validate_nf(q, n).valid, (seed, k)
                     assert n.width() <= t.width(), (seed, k)
+                    assert all(
+                        any(v.lam <= u.lam for u in t) for v in n
+                    ), (seed, k)
                     assert list(normalize_hd(q, n)) == list(n), (seed, k)
     assert not_nf >= trees // 3, (not_nf, trees)
 
@@ -321,6 +324,37 @@ def test_normalize_adds_missing_parent_variables():
     n = normalize_hd(q, h)
     assert validate_nf(q, n).valid
     assert n.vertices[1].chi == frozenset("XYZ")
+
+
+def test_normalize_keeps_nf_tree_with_any_ids(q3):
+    h = decompose(q3, 1)
+    remapped = Hypertree(
+        HtVertex(
+            10 * (len(h) - v.id),
+            None if v.parent is None else 10 * (len(h) - v.parent),
+            v.chi,
+            v.lam,
+        )
+        for v in h
+    )
+    assert remapped.preorder() != sorted(remapped.vertices)
+    assert validate_nf(q3, remapped).valid
+    n = normalize_hd(q3, remapped)
+    assert list(n) == list(remapped)
+
+
+def test_normalize_without_variables_keeps_root():
+    q = parse_query("ans <- r(a,b), s(c).")
+    h = Hypertree(
+        [
+            HtVertex(3, 5, frozenset(), frozenset({1})),
+            HtVertex(5, None, frozenset(), frozenset({0})),
+            HtVertex(7, 3, frozenset(), frozenset({0, 1})),
+        ]
+    )
+    assert not validate_nf(q, h).valid
+    n = normalize_hd(q, h)
+    assert list(n) == [HtVertex(5, None, frozenset(), frozenset({0}))]
 
 
 # --- conversions -----------------------------------------------------------
@@ -361,6 +395,23 @@ def test_hd_to_jointree_single_atom():
     q = parse_query("ans <- r(X,Y).")
     jt = hd_to_jointree(q, complete_hd(q, decompose(q, 1)))
     assert len(jt) == 1
+
+
+def test_hd_to_jointree_contracts_toward_own_atom():
+    # vertex 2 repeats atom 1; contracting it into vertex 0 would cut Y
+    q = parse_query("ans <- a(X,P), b(X,Y), c(Y,Q).")
+    h = Hypertree(
+        [
+            HtVertex(0, 2, frozenset("XP"), frozenset({0})),
+            HtVertex(1, 2, frozenset("XY"), frozenset({1})),
+            HtVertex(2, None, frozenset("XY"), frozenset({1})),
+            HtVertex(3, 2, frozenset("YQ"), frozenset({2})),
+        ]
+    )
+    assert validate_hd(q, h).valid and is_complete(q, h) and h.width() == 1
+    jt = hd_to_jointree(q, h)
+    assert validate_jointree(q, jt).valid
+    assert jt.parent == {0: None, 1: 0, 2: 1}
 
 
 def test_hd_to_jointree_rejects_wide(q1, q1_hd):
