@@ -236,6 +236,19 @@ def test_eval_with_hd_file(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_eval_arity_mismatch_exits_2(files, capsys):
+    _, put = files
+    db = put("db.txt", "r(a,b,c). s(c).")
+    for text in (
+        "ans <- r(a,b), s(X).",
+        "ans <- r(a,Y), s(X).",
+        "ans(X) <- r(a,b), s(X).",
+    ):
+        q = put("q.txt", text)
+        assert run(["eval", q, db]) == 2
+        assert "arity" in capsys.readouterr().err
+
+
 def test_eval_k_cap(files, capsys):
     _, put = files
     q = put("q.txt", Q5_TEXT)

@@ -4,16 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htd import (
+    Atom,
+    ConjunctiveQuery,
+    Database,
     DatabaseFormatError,
     InconclusiveError,
     brute_force_eval,
+    complete_hd,
     decompose,
     eval_boolean,
     eval_full,
     format_answers,
+    hypertree_width,
     parse_database,
     parse_query,
+    constant,
     shrink,
+    variable,
 )
 from htd.hypertree import Hypertree, HtVertex
 
@@ -70,6 +77,18 @@ def test_variable_free_atoms():
     assert not eval_boolean(parse_query("ans <- r(b,a), s(X)."), db)
 
 
+def test_variable_free_atom_arity_mismatch_rejected():
+    db = parse_database("r(a,b,c). s(c).")
+    for text in ("ans <- r(a,b), s(X).", "ans <- r(a,Y), s(X)."):
+        q = parse_query(text)
+        with pytest.raises(DatabaseFormatError):
+            eval_boolean(q, db)
+        with pytest.raises(DatabaseFormatError):
+            eval_full(q, db)
+    with pytest.raises(DatabaseFormatError):
+        eval_full(parse_query("ans(X) <- r(a,b), s(X)."), db)
+
+
 def test_constants_and_repeated_variables():
     db = parse_database("r(a,a). r(a,b).")
     assert eval_full(parse_query("ans(X) <- r(X,X)."), db) == [("a",)]
@@ -121,6 +140,54 @@ def test_shrink_round_trips_through_eval(q1, q1_hd):
     assert eval_boolean(inst.query, inst.db) == eval_boolean(q1, DB1)
 
 
+def test_shrink_empty_table_keeps_arity():
+    q = parse_query("ans <- r(A,B), s(B,C).")
+    db = parse_database("r(a,b). r(b,c).")
+    inst = shrink(q, db, complete_hd(q, decompose(q, 1)))
+    assert any(not rows for rows in inst.db.relations.values())
+    for a in inst.query.body:
+        assert inst.db.arities[a.relation] == len(a.args)
+    assert not eval_boolean(inst.query, inst.db)
+
+
+def _seeded_db(relations, facts, domain, seed):
+    rng = random.Random(seed)
+    rels = {}
+    for rel in relations:
+        rows = set()
+        while len(rows) < facts:
+            rows.add((f"c{rng.randrange(domain)}", f"c{rng.randrange(domain)}"))
+        rels[rel] = frozenset(rows)
+    return Database(rels, {rel: 2 for rel in rels})
+
+
+@pytest.mark.parametrize(
+    "text, relations",
+    [
+        ("ans(A,C) <- a(A,B), b(B,C), c(C,D), d(D,A).", "abcd"),
+        ("ans(A) <- r(A,B), s(B,C), t(C,A).", "rst"),
+    ],
+)
+def test_cyclic_vertex_table_is_exact(text, relations):
+    # 60 facts a relation over 12 constants: joining two of a cycle's atoms
+    # without the ones that close it gives about 60 x 60 / 12 rows, a
+    # product gives 3,600, and the cycles number a few dozen
+    q = parse_query(text)
+    db = _seeded_db(relations, 60, 12, seed=7)
+    every = sorted(q.variables())
+    head = Atom("ans", tuple(variable(x) for x in every))
+    solutions = brute_force_eval(ConjunctiveQuery(head, q.body), db)
+    assert solutions
+    inst = shrink(q, db, complete_hd(q, hypertree_width(q, 2)[1]))
+    cyclic = [a for a in inst.query.body if a.variables() == q.variables()]
+    assert cyclic
+    for a in cyclic:
+        cols = [every.index(t.name) for t in a.args]
+        table = inst.db.tuples(a.relation)
+        assert table == {tuple(s[i] for i in cols) for s in solutions}
+        assert len(table) <= len(solutions)
+
+
 def test_format_answers():
     q = parse_query("ans(X,Y) <- r(X,Y).")
     assert format_answers(q, [("a", "b"), ("c", "d")]) == "ans(a,b).\nans(c,d).\n"
@@ -155,3 +222,58 @@ def test_eval_independent_of_decomposition(seed):
     while (h := decompose(q, k)) is None:
         k += 1
     assert eval_full(q, db, hd=h) == expect
+
+
+# Edges of cyclic and acyclic shapes; the star's search witness is its first
+# atom with the others as children, so E sits only in the last child.
+SHAPES = {
+    "triangle": ("AB", "BC", "CA"),
+    "cycle4": ("AB", "BC", "CD", "DA"),
+    "chain": ("AB", "BC", "CD", "DE"),
+    "star": ("AB", "AC", "AD", "AE"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)), st.integers(0, 10**9))
+def test_eval_on_shapes_with_repeated_relations(shape, seed):
+    """Two relations over every edge in either direction, swapped copies
+    r(Y,X) of an atom r(X,Y), loops r(X,X) and constants: atoms of one
+    relation must not share a scan unless their arguments agree.  Head
+    variables are drawn with the shape's last variable often among them, so
+    the upward join must carry a variable of a later child."""
+    rng = random.Random(seed)
+    body = []
+    for x, y in SHAPES[shape]:
+        args = [variable(x), variable(y)]
+        rng.shuffle(args)
+        if rng.random() < 0.15:
+            args[rng.randrange(2)] = constant(rng.choice(CONSTS))
+        body.append((rng.choice("rs"), tuple(args)))
+    for _ in range(rng.randint(0, 2)):
+        rel, args = rng.choice(body)
+        body.append((rel, args[::-1]))
+    if rng.random() < 0.5:
+        x = variable(rng.choice(SHAPES[shape])[0])
+        body.append(("r", (x, x)))
+    atoms = tuple(Atom(rel, args, i) for i, (rel, args) in enumerate(body))
+    names = sorted(set().union(*(a.variables() for a in atoms)))
+    head = rng.sample(names, rng.randint(0, min(3, len(names))))
+    last = SHAPES[shape][-1][1]
+    if last in names and last not in head and rng.random() < 0.5:
+        head.append(last)
+    q = ConjunctiveQuery(Atom("ans", tuple(variable(x) for x in head)), atoms)
+    db = Database(
+        {
+            rel: frozenset(
+                (rng.choice(CONSTS), rng.choice(CONSTS))
+                for _ in range(rng.randint(1, 12))
+            )
+            for rel in "rs"
+        },
+        {"r": 2, "s": 2},
+    )
+    expect = brute_force_eval(q, db)
+    assert eval_full(q, db) == expect
+    assert eval_full(q, db, hd=trivial_hd(q)) == expect
+    assert eval_boolean(q, db) == bool(expect)
