@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from . import evaluate, hardness
-from .detect import brute_force_qw, decompose, gyo_acyclic, hypertree_width
+from .detect import brute_force_qw, decompose, hypertree_width
 from .errors import (
     DatabaseFormatError,
     DecompositionFormatError,
@@ -139,11 +139,9 @@ def cmd_eval(args) -> int:
 
 def cmd_acyclic(args) -> int:
     q = parse_query(_read(args.query))
-    if gyo_acyclic(q):
-        print("acyclic")
-        return EXIT_OK
-    print("cyclic")
-    return EXIT_NO
+    acyclic = decompose(q, 1) is not None  # width 1 exactly when acyclic
+    print("acyclic" if acyclic else "cyclic")
+    return EXIT_OK if acyclic else EXIT_NO
 
 
 def _format_3ps(sys_: hardness.ThreePartitionSystem) -> str:
@@ -240,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--k-cap", type=int, default=5, dest="k_cap")
     e.set_defaults(fn=cmd_eval)
 
-    a = sub.add_parser("acyclic", help="ear-removal acyclicity test")
+    a = sub.add_parser("acyclic", help="acyclicity test (hypertree width 1)")
     a.add_argument("query")
     a.set_defaults(fn=cmd_acyclic)
 

@@ -225,11 +225,19 @@ def _ground_atoms_hold(q: ConjunctiveQuery, db: Database) -> bool:
 
 
 def _variable_free_ok(q: ConjunctiveQuery, db: Database) -> bool:
+    """Every variable-free atom is a fact; raises DatabaseFormatError on an
+    atom whose relation has another arity in the database."""
     for a in q.body:
-        if not a.variables():
-            if tuple(t.name for t in a.args) not in db.tuples(a.relation):
-                return False
-    return True
+        arity = db.arities.get(a.relation, len(a.args))
+        if arity != len(a.args):
+            raise DatabaseFormatError(
+                f"relation {a.relation} has arity {arity}, query uses {len(a.args)}"
+            )
+    return all(
+        tuple(t.name for t in a.args) in db.tuples(a.relation)
+        for a in q.body
+        if not a.variables()
+    )
 
 
 def _semijoin_up(hd: Hypertree, order: list[int], rels: dict) -> None:

@@ -49,8 +49,9 @@ class _RootedTree:
         if self.vertices and len(roots) != 1:
             raise DecompositionFormatError("expected exactly one root vertex")
         self.root_id: Optional[int] = roots[0] if roots else None
-        # with one root, a parent cycle is a set of vertices it cannot reach
-        if self.vertices and len(self.subtree_ids(roots[0])) != len(self):
+        # parents first; a parent cycle leaves vertices the root cannot reach
+        self._topdown = self.subtree_ids(roots[0]) if roots else []
+        if len(self._topdown) != len(self):
             raise DecompositionFormatError("parent links do not form a tree")
 
     def __len__(self) -> int:
@@ -68,6 +69,26 @@ class _RootedTree:
             stack.extend(self.children[v])
         return out
 
+    def _holders(self, holds: dict) -> dict:
+        """item -> the vertices holding it, parents first; holds maps every
+        vertex to its items."""
+        out: dict = {}
+        for vid in self._topdown:
+            for x in holds[vid]:
+                out.setdefault(x, []).append(vid)
+        return out
+
+    def _disconnected(self, holds: dict) -> list[tuple]:
+        """(item, sorted holders) for each item whose holders do not form
+        one connected subtree, sorted by item.  Listed parents first, the
+        first holder's parent lacks the item; the holders are connected iff
+        every later holder's parent has it."""
+        return sorted(
+            (x, sorted(vs))
+            for x, vs in self._holders(holds).items()
+            if any(x not in holds[self.parent[v]] for v in vs[1:])
+        )
+
 
 @dataclass(frozen=True)
 class HtVertex:
@@ -84,11 +105,15 @@ class Hypertree(_RootedTree):
     def root(self) -> Optional[HtVertex]:
         return None if self.root_id is None else self.vertices[self.root_id]
 
-    def chi_subtree(self, vid: int) -> frozenset[str]:
-        out: set[str] = set()
-        for i in self.subtree_ids(vid):
-            out |= self.vertices[i].chi
-        return frozenset(out)
+    def _chi_below(self, idx: _Index) -> dict[int, int]:
+        """vid -> bitmask of the variables in chi anywhere in vid's subtree."""
+        below: dict[int, int] = {}
+        for vid in reversed(self._topdown):
+            m = idx.mask(self.vertices[vid].chi)
+            for c in self.children[vid]:
+                m |= below[c]
+            below[vid] = m
+        return below
 
     def width(self) -> int:
         return max((len(v.lam) for v in self), default=0)
@@ -119,7 +144,7 @@ class Hypertree(_RootedTree):
         if self.root_id is None:
             return ()
         forms: dict[int, tuple] = {}
-        for vid in reversed(self.subtree_ids(self.root_id)):  # children first
+        for vid in reversed(self._topdown):  # children first
             v = self.vertices[vid]
             kids = sorted(forms.pop(c) for c in self.children[vid])
             head = (tuple(sorted(v.chi)), tuple(sorted(v.lam)), len(kids))
@@ -206,49 +231,41 @@ class ValidationReport:
         return frozenset(v.condition for v in self.violations)
 
 
-def _connected(parents: dict, members: set) -> bool:
-    """Do the member vertices induce a connected subtree?"""
-    if len(members) <= 1:
-        return True
-    internal_edges = sum(
-        1 for m in members if parents[m] is not None and parents[m] in members
-    )
-    return internal_edges == len(members) - 1
-
-
-def _check_refs(q: ConjunctiveQuery, h: Hypertree):
+def _check_refs(q: ConjunctiveQuery, labels: Iterable[tuple]) -> None:
+    """Reject dangling atom indices and unknown variables; labels holds one
+    (vertex id, atom indices, variables) triple per vertex."""
     qvars = q.variables()
-    for v in h:
-        for i in v.lam:
+    for vid, atoms, names in labels:
+        for i in atoms:
             if not 0 <= i < len(q.body):
                 raise DecompositionFormatError(
-                    f"vertex {v.id}: dangling atom index {i}"
+                    f"vertex {vid}: dangling atom index {i}"
                 )
-        for x in v.chi:
+        for x in names:
             if x not in qvars:
                 raise DecompositionFormatError(
-                    f"vertex {v.id}: unknown variable {x}"
+                    f"vertex {vid}: unknown variable {x}"
                 )
 
 
 def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the four hypertree-decomposition conditions."""
-    _check_refs(q, h)
+    _check_refs(q, ((v.id, v.lam, v.chi) for v in h))
     violations = []
-    # condition 1: every atom covered by some chi
+    # condition 1: every atom covered by some chi (that holds its least variable)
+    chi = {v.id: v.chi for v in h}
+    holders = h._holders(chi)
     for a in q.body:
         avars = a.variables()
-        if avars and not any(avars <= v.chi for v in h):
+        if avars and not any(avars <= chi[v] for v in holders.get(min(avars), ())):
             violations.append(
                 Violation("HD1", None, f"atom {a.index} ({a}) uncovered")
             )
     # condition 2: per-variable connectedness
-    for x in sorted(q.variables()):
-        members = {v.id for v in h if x in v.chi}
-        if not _connected(h.parent, members):
-            violations.append(
-                Violation("HD2", sorted(members), f"variable {x} disconnected")
-            )
+    for x, members in h._disconnected(chi):
+        violations.append(Violation("HD2", members, f"variable {x} disconnected"))
+    idx = _Index(q)
+    below = h._chi_below(idx)
     for v in h:
         lam_vars = atoms_vars(q, v.lam)
         # condition 3: chi covered by the lam atoms
@@ -260,7 +277,7 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                 )
             )
         # condition 4: lam variables reused below must be in chi
-        bad = (lam_vars & h.chi_subtree(v.id)) - v.chi
+        bad = idx.unmask(idx.mask(lam_vars) & below[v.id] & ~idx.mask(v.chi))
         if bad:
             violations.append(
                 Violation(
@@ -272,38 +289,21 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
 
 def validate_qd(q: ConjunctiveQuery, d: QueryDecomposition) -> ValidationReport:
     """Check the three query-decomposition conditions."""
-    qvars = q.variables()
-    for v in d:
-        for kind, x in v.label:
-            if kind == "atom" and not 0 <= x < len(q.body):
-                raise DecompositionFormatError(
-                    f"vertex {v.id}: dangling atom index {x}"
-                )
-            if kind == "var" and x not in qvars:
-                raise DecompositionFormatError(
-                    f"vertex {v.id}: unknown variable {x}"
-                )
+    atoms = {v.id: d.label_atoms(v.id) for v in d}
+    names = {v.id: [x for kind, x in v.label if kind == "var"] for v in d}
+    _check_refs(q, ((vid, atoms[vid], names[vid]) for vid in atoms))
     violations = []
-    covered = set()
-    for v in d:
-        covered |= d.label_atoms(v.id)
+    covered = set().union(*atoms.values())
     for a in q.body:
         if a.index not in covered:
             violations.append(
                 Violation("QD1", None, f"atom {a.index} ({a}) unlabeled")
             )
-    for a in q.body:
-        members = {v.id for v in d if a.index in d.label_atoms(v.id)}
-        if not _connected(d.parent, members):
-            violations.append(
-                Violation("QD2", sorted(members), f"atom {a.index} disconnected")
-            )
-    for x in sorted(qvars):
-        members = {v.id for v in d if x in d.label_vars(q, v.id)}
-        if not _connected(d.parent, members):
-            violations.append(
-                Violation("QD3", sorted(members), f"variable {x} disconnected")
-            )
+    for i, members in d._disconnected(atoms):
+        violations.append(Violation("QD2", members, f"atom {i} disconnected"))
+    label_vars = {v.id: d.label_vars(q, v.id) for v in d}
+    for x, members in d._disconnected(label_vars):
+        violations.append(Violation("QD3", members, f"variable {x} disconnected"))
     return ValidationReport(tuple(violations))
 
 
@@ -320,54 +320,47 @@ def hd_width(h: Hypertree) -> int:
     return h.width()
 
 
+def _strong_covers(q: ConjunctiveQuery, h: Hypertree) -> set[int]:
+    """Atoms i with i in lam(v) and var(A_i) inside chi(v) for some v."""
+    n = len(q.body)  # is_complete takes unchecked trees: skip dangling indices
+    return {
+        i for v in h for i in v.lam if 0 <= i < n and q.body[i].variables() <= v.chi
+    }
+
+
 def complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     """Attach a leaf per atom lacking a strong cover; width never grows."""
     _require_hd(q, h)
     verts = dict(h.vertices)
     next_id = max(verts, default=-1) + 1
-    order = h.preorder()
+    covered = _strong_covers(q, h)
+    chi = {v.id: v.chi for v in h}
+    holders = h._holders(chi)
     for a in q.body:
-        avars = a.variables()
-        if any(avars <= v.chi and a.index in v.lam for v in verts.values()):
+        if a.index in covered:
             continue
-        host = next(
-            (vid for vid in order if avars <= h.vertices[vid].chi), None
-        )
+        avars = a.variables()
+        host = h.root_id
+        if avars:  # the covering vertices form a subtree (HD2): take its top
+            host = next(v for v in holders[min(avars)] if avars <= chi[v])
         if host is None:  # variable-free atom under an empty tree
-            if h.root_id is None:
-                raise InvalidDecompositionError(
-                    "cannot complete an empty decomposition with atoms present"
-                )
-            host = h.root_id
+            raise InvalidDecompositionError(
+                "cannot complete an empty decomposition with atoms present"
+            )
         verts[next_id] = HtVertex(next_id, host, avars, frozenset({a.index}))
         next_id += 1
     return Hypertree(verts.values())
 
 
 def is_complete(q: ConjunctiveQuery, h: Hypertree) -> bool:
-    return all(
-        any(a.variables() <= v.chi and a.index in v.lam for v in h)
-        for a in q.body
-    )
-
-
-def _nf_component(
-    idx: _Index, h: Hypertree, s: HtVertex
-) -> Optional[frozenset[str]]:
-    """The unique [chi(parent)]-component matching NF condition 1 for child s."""
-    r = h.vertices[s.parent]
-    chi_ts = idx.mask(h.chi_subtree(s.id))
-    shared = idx.mask(s.chi & r.chi)
-    matching = [
-        c for c in idx.components(idx.mask(r.chi)) if chi_ts == c | shared
-    ]
-    return idx.unmask(matching[0]) if len(matching) == 1 else None
+    return _strong_covers(q, h).issuperset(a.index for a in q.body)
 
 
 def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the three normal-form conditions; records treecomp per vertex."""
     _require_hd(q, h)
     idx = _Index(q)
+    below = h._chi_below(idx)
     violations = []
     tc: dict[int, frozenset[str]] = {}
     if h.root_id is not None:
@@ -376,8 +369,11 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
         if s.parent is None:
             continue
         r = h.vertices[s.parent]
-        match = _nf_component(idx, h, s)
-        if match is None:
+        # condition 2 puts every chi(r) variable of T_s into chi(s), so the
+        # only [chi(r)]-component that can match T_s is chi(T_s) - chi(r)
+        chi_r = idx.mask(r.chi)
+        match = below[s.id] & ~chi_r
+        if match not in idx.components(chi_r):
             violations.append(
                 Violation(
                     "NF1",
@@ -386,8 +382,8 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                 )
             )
         else:
-            tc[s.id] = match
-            if not (s.chi & match):
+            tc[s.id] = idx.unmask(match)
+            if not (s.chi & tc[s.id]):
                 violations.append(
                     Violation("NF2", s.id, "chi disjoint from its component")
                 )
@@ -533,12 +529,8 @@ def validate_jointree(q: ConjunctiveQuery, jt: JoinTree) -> ValidationReport:
     if set(jt.parent) != {a.index for a in q.body}:
         violations.append(Violation("JT0", None, "atoms not covered exactly once"))
         return ValidationReport(tuple(violations))
-    for x in sorted(q.variables()):
-        members = {a.index for a in q.body if x in a.variables()}
-        if not _connected(jt.parent, members):
-            violations.append(
-                Violation("JT1", sorted(members), f"variable {x} disconnected")
-            )
+    for x, members in jt._disconnected({a.index: a.variables() for a in q.body}):
+        violations.append(Violation("JT1", members, f"variable {x} disconnected"))
     return ValidationReport(tuple(violations))
 
 

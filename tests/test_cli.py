@@ -194,6 +194,8 @@ def test_width_deep_acyclic_query(files, capsys):
     q = put("q.txt", f"ans <- {path}.")
     assert run(["width", q]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    assert run(["acyclic", q]) == 0
+    assert capsys.readouterr().out.strip() == "acyclic"
 
 
 def test_width(files, capsys):
@@ -246,6 +248,10 @@ def test_eval_arity_mismatch_exits_2(files, capsys):
     ):
         q = put("q.txt", text)
         assert run(["eval", q, db]) == 2
+        assert "arity" in capsys.readouterr().err
+    for text in ("ans <- r(a,Y), s(X).", "ans <- r(a,b), s(X)."):
+        q = put("q.txt", text)
+        assert run(["oracle", "eval", q, db]) == 2
         assert "arity" in capsys.readouterr().err
 
 
