@@ -17,7 +17,7 @@ from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .detect import hypertree_width
 from .errors import DatabaseFormatError, InconclusiveError, InvalidDecompositionError
-from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd, complete_hd, is_complete
+from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd
 from .model import Atom, ConjunctiveQuery, Database, variable
 
 Schema = tuple[str, ...]
@@ -41,13 +41,17 @@ def _pick(schema: Schema, cols: Schema, rows: Rows) -> Iterator[tuple]:
     return _keys(schema, cols, rows)
 
 
-def _atom_rows(a: Atom, db: Database) -> tuple[Schema, Rows]:
-    """Matching assignments: constants select, repeated variables equate."""
+def _check_arity(a: Atom, db: Database) -> None:
     if a.relation in db.arities and db.arities[a.relation] != len(a.args):
         raise DatabaseFormatError(
             f"relation {a.relation} has arity {db.arities[a.relation]}, "
             f"query uses {len(a.args)}"
         )
+
+
+def _atom_rows(a: Atom, db: Database) -> tuple[Schema, Rows]:
+    """Matching assignments: constants select, repeated variables equate."""
+    _check_arity(a, db)
     schema = tuple(sorted(a.variables()))
     tuples = db.tuples(a.relation)
     if set(map(len, tuples)) - {len(a.args)}:
@@ -126,7 +130,7 @@ def _project(s: Schema, r: Rows, keep: Schema) -> tuple[Schema, Rows]:
 
 @dataclass(frozen=True)
 class AcyclicInstance:
-    """The acyclic query equivalent to Q under a complete decomposition:
+    """The acyclic query equivalent to Q under any valid decomposition:
     one atom per vertex over chi(p), with precomputed relations."""
 
     query: ConjunctiveQuery
@@ -135,7 +139,7 @@ class AcyclicInstance:
 
 
 def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
-    """Turn (Q, DB) into an acyclic instance along a complete decomposition."""
+    """Turn (Q, DB) into an acyclic instance along any valid decomposition."""
     tables = _vertex_tables(q, h, db)
     order = h.preorder()
     pos = {vid: i for i, vid in enumerate(order)}
@@ -162,7 +166,8 @@ def _vertex_tables(
     and of every atom A with var(A) inside chi(p), each projected to its
     overlap with chi(p).  Every solution restricted to chi(p) satisfies such
     an A, so folding it in drops only rows that no solution uses, and the
-    width stays the same.  Each distinct atom is scanned once per call."""
+    width stays the same.  HD1 gives every atom such a vertex, so any valid
+    decomposition will do.  Each distinct atom is scanned once per call."""
     scans: dict[tuple, tuple[Schema, Rows]] = {}
     parts_of: dict[tuple, tuple[Schema, Rows]] = {}
     out: dict[int, tuple[Schema, Rows]] = {}
@@ -170,7 +175,7 @@ def _vertex_tables(
         parts = []
         for i, a in enumerate(q.body):
             va = a.variables()
-            if i not in v.lam and not (va and va <= v.chi):
+            if i not in v.lam and not va <= v.chi:
                 continue
             scan = (a.relation, a.args)
             overlap = tuple(sorted(va & v.chi))
@@ -213,14 +218,14 @@ def _prepare(
         hd = found[1]
     else:
         _require_hd(q, hd)
-    if not is_complete(q, hd):
-        hd = complete_hd(q, hd)
     return hd
 
 
 def _ground_atoms_hold(q: ConjunctiveQuery, db: Database) -> bool:
-    """Every variable-free atom is a fact; arities are checked as for any
-    other atom."""
+    """Every variable-free atom is a fact; raises DatabaseFormatError first
+    if any body atom's relation has another arity in the database."""
+    for a in q.body:
+        _check_arity(a, db)
     return all(_atom_rows(a, db)[1] for a in q.body if not a.variables())
 
 

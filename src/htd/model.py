@@ -14,8 +14,8 @@ from typing import Iterable, Optional
 
 from .errors import DatabaseFormatError, QuerySyntaxError
 
-_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_']*")
-_CONST_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*")
+_NAME = r"[a-z0-9][A-Za-z0-9_]*"  # relation names and unquoted constants
+_NAME_RE = re.compile(_NAME)
 
 
 @dataclass(frozen=True, order=True)
@@ -28,7 +28,7 @@ class Term:
         return self.kind == "variable"
 
     def __str__(self) -> str:
-        if self.kind == "constant" and not _CONST_RE.fullmatch(self.name):
+        if self.kind == "constant" and not _NAME_RE.fullmatch(self.name):
             return "'" + self.name + "'"
         return self.name
 
@@ -114,109 +114,84 @@ class Database:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parsers
+# scanner / parsers
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | variable | quoted | punct | end
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise QuerySyntaxError("unterminated quoted constant", line, col)
-            tokens.append(_Token("quoted", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-        elif text.startswith("<-", i):
-            tokens.append(_Token("punct", "<-", line, col))
-            i += 2
-            col += 2
-        elif c in "(),.":
-            tokens.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-        else:
-            m = _VAR_RE.match(text, i) or _CONST_RE.match(text, i)
-            if m is None:
-                raise QuerySyntaxError(f"unexpected character {c!r}", line, col)
-            kind = "variable" if text[i].isupper() else "name"
-            tokens.append(_Token(kind, m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+# One token per match; whitespace and % comments match without a named group.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|%[^\n]*)+"
+    r"|'(?P<quoted>[^']*)'"
+    r"|(?P<punct><-|[(),.])"
+    r"|(?P<variable>[A-Z][A-Za-z0-9_']*)"
+    rf"|(?P<name>{_NAME})"
+)
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    """Recursive descent over (kind, text, offset) tokens, where kind is a
+    group name of _TOKEN_RE or "end"; offsets become line and column only
+    when an error is raised."""
 
-    def peek(self) -> _Token:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        self.pos = 0
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != end:
+                break
+            end = m.end()
+            if m.lastgroup:
+                self.tokens.append((m.lastgroup, m[m.lastgroup], m.start()))
+        if end < len(text):
+            c = text[end]
+            if c == "'":
+                self.fail("unterminated quoted constant", end)
+            self.fail(f"unexpected character {c!r}", end)
+        self.tokens.append(("end", "", end))
+
+    def fail(self, message: str, offset: int):
+        text = self.text
+        line = text.count("\n", 0, offset) + 1
+        raise QuerySyntaxError(message, line, offset - text.rfind("\n", 0, offset))
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
-    def fail(self, message: str):
-        t = self.peek()
-        raise QuerySyntaxError(message, t.line, t.column)
-
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text or t.kind == "end":
-            raise QuerySyntaxError(f"expected {text!r}", t.line, t.column)
-        return t
+    def expect(self, text: str) -> None:
+        _, got, offset = self.next()
+        if got != text:
+            self.fail(f"expected {text!r}", offset)
 
     def term(self) -> Term:
-        t = self.next()
-        if t.kind == "variable":
-            return variable(t.text)
-        if t.kind in ("name", "quoted"):
-            return constant(t.text)
-        raise QuerySyntaxError("expected a term", t.line, t.column)
+        kind, text, offset = self.next()
+        if kind == "variable":
+            return variable(text)
+        if kind == "name" or kind == "quoted":
+            return constant(text)
+        self.fail("expected a term", offset)
 
     def termlist(self) -> tuple[Term, ...]:
         terms = [self.term()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             terms.append(self.term())
         return tuple(terms)
 
     def atom(self, index: int = -1) -> Atom:
-        t = self.next()
-        if t.kind != "name":
-            raise QuerySyntaxError("expected a relation name", t.line, t.column)
+        kind, relation, offset = self.next()
+        if kind != "name":
+            self.fail("expected a relation name", offset)
         args: tuple[Term, ...] = ()
-        if self.peek().text == "(":
+        if self.peek()[1] == "(":
             self.next()
             args = self.termlist()
             self.expect(")")
-        return Atom(t.text, args, index)
+        return Atom(relation, args, index)
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
@@ -227,14 +202,15 @@ def parse_query(text: str) -> ConjunctiveQuery:
     head = p.atom()
     p.expect("<-")
     body: list[Atom] = []
-    if p.peek().text != ".":
+    if p.peek()[1] != ".":
         body.append(p.atom(0))
-        while p.peek().text == ",":
+        while p.peek()[1] == ",":
             p.next()
             body.append(p.atom(len(body)))
     p.expect(".")
-    if p.peek().kind != "end":
-        p.fail("trailing text after query")
+    kind, _, offset = p.peek()
+    if kind != "end":
+        p.fail("trailing text after query", offset)
     return ConjunctiveQuery(head, tuple(body))
 
 
@@ -247,7 +223,7 @@ def parse_database(text: str) -> Database:
     relations: dict[str, set[tuple[str, ...]]] = {}
     arities: dict[str, int] = {}
     p = _Parser(text)
-    while p.peek().kind != "end":
+    while p.peek()[0] != "end":
         atom = p.atom()
         p.expect(".")
         row = []

@@ -253,6 +253,12 @@ def test_eval_arity_mismatch_exits_2(files, capsys):
         q = put("q.txt", text)
         assert run(["oracle", "eval", q, db]) == 2
         assert "arity" in capsys.readouterr().err
+    # a ground atom that fails must not hide another atom's arity mismatch
+    db = put("db.txt", "r(a,b). s(c,d).")
+    q = put("q.txt", "ans <- r(x,y), s(X).")
+    for argv in (["eval", q, db], ["eval", q, db, "--brute"], ["oracle", "eval", q, db]):
+        assert run(argv) == 2
+        assert "arity" in capsys.readouterr().err
 
 
 def test_eval_k_cap(files, capsys):

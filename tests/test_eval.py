@@ -16,6 +16,7 @@ from htd import (
     eval_full,
     format_answers,
     hypertree_width,
+    is_complete,
     parse_database,
     parse_query,
     constant,
@@ -148,6 +149,27 @@ def test_shrink_empty_table_keeps_arity():
     for a in inst.query.body:
         assert inst.db.arities[a.relation] == len(a.args)
     assert not eval_boolean(inst.query, inst.db)
+
+
+def test_eval_along_an_incomplete_witness(triangle):
+    # the width-2 witness covers t's variables but labels no vertex with t
+    h = hypertree_width(triangle, 2)[1]
+    assert not is_complete(triangle, h)
+    q = ConjunctiveQuery(Atom("ans", (variable("X"), variable("Z"))), triangle.body)
+    db = _seeded_db("rst", 40, 8, seed=3)
+    assert eval_full(q, db, h) == brute_force_eval(q, db)
+    assert eval_boolean(q, db, h) == bool(brute_force_eval(q, db))
+    assert len(shrink(q, db, h).query.body) == len(h)
+
+
+def test_shrink_folds_variable_free_atoms():
+    q = parse_query("ans <- r(a,b), s(X).")
+    h = decompose(q, 1)
+    assert all(0 not in v.lam for v in h)
+    inst = shrink(q, parse_database("s(a)."), h)
+    assert not eval_boolean(inst.query, inst.db)
+    inst = shrink(q, parse_database("r(a,b). s(a)."), h)
+    assert eval_boolean(inst.query, inst.db)
 
 
 def _seeded_db(relations, facts, domain, seed):

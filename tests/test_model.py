@@ -58,6 +58,22 @@ def test_syntax_error_position():
 
 
 @pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        # after a quoted constant that spans a line
+        ("ans <- p('x\ny') q(X).", "expected '.'", 2, 5),
+        # after a % comment
+        ("ans <- r(X,\n  %s(Y.", "expected a term", 2, 8),
+    ],
+)
+def test_syntax_error_line_and_column(text, message, line, column):
+    with pytest.raises(QuerySyntaxError) as e:
+        parse_query(text)
+    assert message in str(e.value)
+    assert (e.value.line, e.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "bad",
     ["", "ans r(X).", "ans <- r(X)", "ans <- r(X,).", "ans <- r(X). extra"],
 )
