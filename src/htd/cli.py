@@ -104,14 +104,23 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
+def _answer(q, rows, boolean: bool) -> int:
+    """Print true/false, or the answer rows; exit 0 exactly when rows is
+    truthy."""
+    if boolean:
+        print("true" if rows else "false")
+    else:
+        sys.stdout.write(evaluate.format_answers(q, rows))
+    return EXIT_OK if rows else EXIT_NO
+
+
 def cmd_eval(args) -> int:
     q = parse_query(_read(args.query))
     db = parse_database(_read(args.db))
     hd = None
     if args.hd:
         _, hd = hypertree_from_json(_read(args.hd))
-    boolean = args.boolean or q.is_boolean
-    if boolean:
+    if args.boolean or q.is_boolean:
         answer = evaluate.eval_boolean(q, db, hd, args.k_cap)
         if args.brute:
             brute = bool(evaluate.brute_force_eval(q, db))
@@ -121,8 +130,7 @@ def cmd_eval(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL
-        print("true" if answer else "false")
-        return EXIT_OK if answer else EXIT_NO
+        return _answer(q, answer, True)
     rows = evaluate.eval_full(q, db, hd, args.k_cap)
     if args.brute:
         brute = evaluate.brute_force_eval(q, db)
@@ -133,8 +141,7 @@ def cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
-    sys.stdout.write(evaluate.format_answers(q, rows))
-    return EXIT_OK if rows else EXIT_NO
+    return _answer(q, rows, False)
 
 
 def cmd_acyclic(args) -> int:
@@ -188,19 +195,11 @@ def cmd_gen_hard(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.what == "qw":
-        q = parse_query(_read(args.query))
-        ok = brute_force_qw(q, args.k) is not None
-        print("true" if ok else "false")
-        return EXIT_OK if ok else EXIT_NO
     q = parse_query(_read(args.query))
+    if args.what == "qw":
+        return _answer(q, brute_force_qw(q, args.k) is not None, True)
     db = parse_database(_read(args.db))
-    rows = evaluate.brute_force_eval(q, db)
-    if q.is_boolean:
-        print("true" if rows else "false")
-        return EXIT_OK if rows else EXIT_NO
-    sys.stdout.write(evaluate.format_answers(q, rows))
-    return EXIT_OK if rows else EXIT_NO
+    return _answer(q, evaluate.brute_force_eval(q, db), q.is_boolean)
 
 
 def _parser() -> argparse.ArgumentParser:

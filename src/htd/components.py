@@ -116,7 +116,10 @@ def v_adjacent(q: ConjunctiveQuery, v: Iterable[str], x: str, y: str) -> bool:
 def v_components(q: ConjunctiveQuery, v: Iterable[str]) -> frozenset[Component]:
     """All [V]-components of Q, as a set of Component values.
 
-    Names in V that are not variables of Q are ignored.
+    Names in V that are not variables of Q are ignored.  Each call builds a
+    fresh _Index, so its per-separator component cache helps only within
+    the call; a caller asking about many separators of one query should
+    share one _Index.
     """
     vset = frozenset(v)
     idx = _Index(q)

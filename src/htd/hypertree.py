@@ -457,11 +457,8 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
     _require_hd(q, h)
     if h.width() > 1:
         raise InvalidDecompositionError(f"width {h.width()} > 1")
-    if not is_complete(q, h):
-        raise InvalidDecompositionError("decomposition is not complete")
-    if h.root_id is None:
-        return JoinTree([])
-    # designated vertex per atom: least id with lam={A}, chi=var(A)
+    # designated vertex per atom: least id with lam={A}, chi=var(A); at
+    # width 1 these are exactly the strong covers
     designated: dict[int, int] = {}
     for vid in sorted(h.vertices):
         v = h.vertices[vid]
@@ -469,58 +466,36 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
             (a,) = v.lam
             if v.chi == q.body[a].variables() and a not in designated:
                 designated[a] = vid
-    keep = set(designated.values())
-    # undirected adjacency; contract non-designated vertices into a neighbor
-    adj: dict[int, set[int]] = {v.id: set() for v in h}
-    for v in h:
-        if v.parent is not None:
-            adj[v.id].add(v.parent)
-            adj[v.parent].add(v.id)
-
-    def toward(src: int, targets: set[int]) -> int:
-        """Neighbor of src on the path to the nearest target vertex."""
-        seen = {src}
-        frontier = [(n, n) for n in sorted(adj[src])]
-        while frontier:
-            nxt = []
-            for first, cur in frontier:
-                if cur in targets:
-                    return first
-                seen.add(cur)
-                for m in sorted(adj[cur]):
-                    if m not in seen:
-                        nxt.append((first, m))
-            frontier = nxt
-        raise InvalidDecompositionError("no designated vertex reachable")
-
-    for vid in sorted(h.vertices):
-        if vid in keep:
-            continue
-        # the designated vertex of v's own atom holds chi(v), and so does
-        # every vertex on the way to it; a vertex with empty lam has no chi
-        n = toward(vid, {designated[a] for a in h.vertices[vid].lam} or keep)
-        for m in adj[vid]:
-            if m != n:
-                adj[m].discard(vid)
-                adj[m].add(n)
-                adj[n].add(m)
-        adj[n].discard(vid)
-        del adj[vid]
-    atom_of = {vid: a for a, vid in designated.items()}
-    root_vid = designated[min(designated)]
-    verts = []
-    seen = {root_vid}
-    stack = [(root_vid, None)]
-    while stack:
-        vid, par = stack.pop()
-        verts.append(JtVertex(atom_of[vid], par))
-        for m in sorted(adj[vid]):
-            if m not in seen:
-                seen.add(m)
-                stack.append((m, atom_of[vid]))
-    if len(verts) != len(q.body):
-        raise InvalidDecompositionError("join tree does not cover every atom")
-    return JoinTree(verts)
+    if len(designated) < len(q.body):
+        raise InvalidDecompositionError("decomposition is not complete")
+    if not designated:
+        return JoinTree([])
+    # Grow one group per atom from its designated vertex, breadth-first: a
+    # vertex joins a neighbour's group when that neighbour's chi holds its
+    # own.  Every vertex is reached: HD2 puts chi(v) on the whole path to
+    # its own atom's vertex, so an unreached vertex of largest chi would
+    # border a group that holds its chi.  Every vertex's chi lies in its
+    # group's atom, so the links between the connected groups form a join
+    # tree.
+    group = {vid: a for a, vid in designated.items()}
+    queue = list(group)
+    for u in queue:  # the queue grows as the loop runs
+        chi = h.vertices[u].chi
+        for w in h.children[u] + [h.parent[u]]:
+            if w is not None and w not in group and h.vertices[w].chi <= chi:
+                group[w] = group[u]
+                queue.append(w)
+    # each group's top vertex, met first from the root, links it upward
+    parent: dict[int, Optional[int]] = {}
+    for vid in h._topdown:
+        a, up = group[vid], group.get(h.parent[vid])
+        if a != up:
+            parent[a] = up
+    # re-root at the least atom: reverse the links on its path to the root
+    a, below = min(parent), None
+    while a is not None:
+        parent[a], below, a = below, a, parent[a]
+    return JoinTree(JtVertex(a, p) for a, p in parent.items())
 
 
 def validate_jointree(q: ConjunctiveQuery, jt: JoinTree) -> ValidationReport:

@@ -128,8 +128,9 @@ _TOKEN_RE = re.compile(
 
 class _Parser:
     """Recursive descent over (kind, text, offset) tokens, where kind is a
-    group name of _TOKEN_RE or "end"; offsets become line and column only
-    when an error is raised."""
+    group name of _TOKEN_RE, the text itself for punctuation, or "end", so
+    a quoted constant never reads as punctuation; offsets become line and
+    column only when an error is raised."""
 
     def __init__(self, text: str):
         self.text = text
@@ -140,8 +141,12 @@ class _Parser:
             if m.start() != end:
                 break
             end = m.end()
-            if m.lastgroup:
-                self.tokens.append((m.lastgroup, m[m.lastgroup], m.start()))
+            kind = m.lastgroup
+            if kind:
+                spelled = m[kind]
+                if kind == "punct":
+                    kind = spelled
+                self.tokens.append((kind, spelled, m.start()))
         if end < len(text):
             c = text[end]
             if c == "'":
@@ -163,7 +168,7 @@ class _Parser:
         return t
 
     def expect(self, text: str) -> None:
-        _, got, offset = self.next()
+        got, _, offset = self.next()
         if got != text:
             self.fail(f"expected {text!r}", offset)
 
@@ -177,7 +182,7 @@ class _Parser:
 
     def termlist(self) -> tuple[Term, ...]:
         terms = [self.term()]
-        while self.peek()[1] == ",":
+        while self.peek()[0] == ",":
             self.next()
             terms.append(self.term())
         return tuple(terms)
@@ -187,7 +192,7 @@ class _Parser:
         if kind != "name":
             self.fail("expected a relation name", offset)
         args: tuple[Term, ...] = ()
-        if self.peek()[1] == "(":
+        if self.peek()[0] == "(":
             self.next()
             args = self.termlist()
             self.expect(")")
@@ -202,9 +207,9 @@ def parse_query(text: str) -> ConjunctiveQuery:
     head = p.atom()
     p.expect("<-")
     body: list[Atom] = []
-    if p.peek()[1] != ".":
+    if p.peek()[0] != ".":
         body.append(p.atom(0))
-        while p.peek()[1] == ",":
+        while p.peek()[0] == ",":
             p.next()
             body.append(p.atom(len(body)))
     p.expect(".")

@@ -397,6 +397,16 @@ def test_hd_to_jointree_single_atom():
     assert len(jt) == 1
 
 
+def test_hd_to_jointree_empty_body():
+    q = parse_query("ans <- .")
+    assert len(hd_to_jointree(q, Hypertree([]))) == 0
+    root = HtVertex(0, None, frozenset(), frozenset())
+    assert len(hd_to_jointree(q, Hypertree([root]))) == 0
+    # atoms but no vertices
+    with pytest.raises(InvalidDecompositionError, match="not complete"):
+        hd_to_jointree(parse_query("ans <- r(a), s."), Hypertree([]))
+
+
 def test_hd_to_jointree_contracts_toward_own_atom():
     # vertex 2 repeats atom 1; contracting it into vertex 0 would cut Y
     q = parse_query("ans <- a(X,P), b(X,Y), c(Y,Q).")

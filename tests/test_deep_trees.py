@@ -53,6 +53,22 @@ def test_path_hd():
     )
 
 
+def test_path_hd_with_chain_to_jointree():
+    # a chain of N extra vertices under vertex 0, each repeating atom 0's
+    # lam with chi {X0}; ids rise toward the root, so the leaf comes first
+    verts = [
+        HtVertex(i, parent(i), frozenset({f"X{i}", f"X{i + 1}"}), frozenset({i}))
+        for i in range(N)
+    ]
+    verts += [
+        HtVertex(j, 0 if j == 2 * N - 1 else j + 1, frozenset({"X0"}), frozenset({0}))
+        for j in range(N, 2 * N)
+    ]
+    jt = hd_to_jointree(Q, Hypertree(verts))
+    assert validate_jointree(Q, jt).valid
+    assert sorted(v.atom for v in jt) == list(range(N))
+
+
 def test_path_qd():
     # vertex i labels atoms i and i + 1, so each atom sits on two vertices
     verts = [

@@ -82,6 +82,21 @@ def test_malformed_queries(bad):
         parse_query(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_query, "ans <- r(X) ',' s(Y) '.'"),
+        (parse_query, "ans '<-' r(X)."),
+        (parse_database, "r'('a')' '.'"),
+    ],
+)
+def test_quoted_constant_is_not_punctuation(parse, text):
+    with pytest.raises(QuerySyntaxError):
+        parse(text)
+    assert parse_query("ans <- r(',').").body[0].args[0].name == ","
+    assert parse_database("r(',', '.').").tuples("r") == {(",", ".")}
+
+
 def test_comments_ignored():
     q = parse_query("% header\nans <- r(X,Y). % trailing")
     assert len(q.body) == 1
