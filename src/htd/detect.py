@@ -102,71 +102,55 @@ class _Search:
                 return
             yield top - j
 
+    def _state(self, comp: int, border: int):
+        """Solve one state as a generator: yield each substate (sub, border)
+        and receive its witness; return (atoms, kids) or None."""
+        tried: set[int] = set()
+        for p in self._usable(comp, border):
+            atoms, var_s = self.cands[p]
+            # all usable candidates contain the border, so twins that agree
+            # inside comp yield the same substates and fail alike
+            seen = var_s & comp
+            if seen in tried:
+                continue
+            tried.add(seen)
+            kids = []
+            for sub in self.idx.components(var_s):
+                if sub & comp:
+                    w = yield sub, self.adjacent(sub)[0] & var_s
+                    if w is None:
+                        break
+                    kids.append((sub, w))
+            else:
+                return atoms, kids
+        return None
+
     def solve(self, comp: int, border: int):
         """Witness (atoms, [(sub, witness), ...]) for the state, or None.
 
         ``border`` holds the parent separator's variables on the atoms that
         meet ``comp``; the answer depends on nothing else of the separator.
-        Runs on an explicit stack, one frame per state under evaluation.
+        Drives a stack of state generators, so no state recurses in Python.
         """
         memo = self.memo
-        if (comp, border) in memo:
-            return memo[(comp, border)]
-        stack = [_Frame(comp, border, self._usable(comp, border))]
-        while stack:
-            f = stack[-1]
-            if f.pending is not None:
-                if not f.pending:
-                    memo[(f.comp, f.border)] = (f.atoms, f.kids)
-                    stack.pop()
-                    continue
-                sub = f.pending[-1]
-                key = (sub, self.adjacent(sub)[0] & f.var_s)  # sub's state
-                if key not in memo:
-                    stack.append(_Frame(*key, self._usable(*key)))
-                    continue
+        key = (comp, border)
+        stack = []
+        while True:
+            if key in memo:
                 w = memo[key]
-                if w is None:
-                    f.pending = None
-                else:
-                    f.pending.pop()
-                    f.kids.append((sub, w))
-                continue
-            for p in f.usable:
-                atoms, var_s = self.cands[p]
-                # all usable candidates contain the border, so twins that
-                # agree inside comp yield the same substates and fail alike
-                seen = var_s & f.comp
-                if seen in f.tried:
-                    continue
-                f.tried.add(seen)
-                f.atoms, f.var_s, f.kids = atoms, var_s, []
-                f.pending = [
-                    sub for sub in self.idx.components(var_s) if sub & f.comp
-                ][::-1]
-                break
             else:
-                memo[(f.comp, f.border)] = None
-                stack.pop()
-        return memo[(comp, border)]
-
-
-class _Frame:
-    """One search state on the explicit stack, and the candidate it tries."""
-
-    __slots__ = ("comp", "border", "usable", "tried", "atoms", "var_s",
-                 "pending", "kids")
-
-    def __init__(self, comp: int, border: int, usable):
-        self.comp = comp
-        self.border = border
-        self.usable = usable
-        self.tried: set[int] = set()
-        self.atoms: tuple[int, ...] = ()
-        self.var_s = 0
-        # substates of the current candidate still to solve, last one next
-        self.pending: Optional[list[int]] = None
-        self.kids: list = []
+                stack.append((key, self._state(*key)))
+                w = None  # a new generator starts on send(None)
+            while stack:
+                key, state = stack[-1]
+                try:
+                    key = state.send(w)  # the next substate to solve
+                    break
+                except StopIteration as done:
+                    memo[key] = w = done.value
+                    stack.pop()
+            else:
+                return w
 
 
 def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:

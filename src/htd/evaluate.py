@@ -203,10 +203,7 @@ def _join_connected(parts: list[tuple[Schema, Rows]]) -> tuple[Schema, Rows]:
 
 
 def _prepare(
-    q: ConjunctiveQuery,
-    db: Database,
-    hd: Optional[Hypertree],
-    k_cap: int,
+    q: ConjunctiveQuery, hd: Optional[Hypertree], k_cap: int
 ) -> Hypertree:
     if hd is None:
         found = hypertree_width(q, k_cap)
@@ -265,7 +262,7 @@ def eval_boolean(
         return False
     if not any(a.variables() for a in q.body):
         return True
-    hd = _prepare(q, db, hd, k_cap)
+    hd = _prepare(q, hd, k_cap)
     rels = _vertex_tables(q, hd, db)
     _semijoin_up(hd, hd.preorder(), rels)
     return bool(rels[hd.root_id][1])
@@ -284,7 +281,7 @@ def eval_full(
     if not _ground_atoms_hold(q, db):
         return []
     head_vars = frozenset(t.name for t in q.head.args if t.is_variable)
-    hd = _prepare(q, db, hd, k_cap)
+    hd = _prepare(q, hd, k_cap)
     rels = _vertex_tables(q, hd, db)
     order = hd.preorder()
     # full reducer: semijoin up, then down
@@ -336,7 +333,10 @@ def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]
     answers: set[tuple[str, ...]] = set()
     atoms = [a for a in q.body if a.variables()]
 
-    def rec(i: int, env: dict[str, str]):
+    # depth-first on an explicit stack, so long bodies need no recursion
+    stack: list[tuple[int, dict[str, str]]] = [(0, {})]
+    while stack:
+        i, env = stack.pop()
         if i == len(atoms):
             answers.add(
                 tuple(
@@ -344,7 +344,7 @@ def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]
                     for t in q.head.args
                 )
             )
-            return
+            continue
         a = atoms[i]
         for t in db.tuples(a.relation):
             if len(t) != len(a.args):
@@ -360,9 +360,7 @@ def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]
                     ok = False
                     break
             if ok:
-                rec(i + 1, local)
-
-    rec(0, {})
+                stack.append((i + 1, local))
     return sorted(answers)
 
 

@@ -564,7 +564,7 @@ def hypertree_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], Hypertre
             )
             for n in nodes
         ]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DecompositionFormatError(f"bad decomposition file: {e}") from e
     return q, Hypertree(verts)
 
@@ -596,6 +596,6 @@ def qd_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], QueryDecomposit
                 else:
                     label.add(("var", str(item["var"])))
             verts.append(QdVertex(int(n["id"]), _json_parent(n), frozenset(label)))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DecompositionFormatError(f"bad decomposition file: {e}") from e
     return q, QueryDecomposition(verts)

@@ -161,6 +161,30 @@ def test_check_malformed_json(files, capsys, doc, qd):
 
 
 @pytest.mark.parametrize(
+    "node, qd",
+    [
+        (dict(HD_NODE, id="BIG"), False),
+        (dict(HD_NODE, parent="BIG"), False),
+        (dict(HD_NODE, **{"lambda": [0, "BIG"]}), False),
+        (dict(QD_NODE, label=[{"atom": 0}, {"atom": "BIG"}]), True),
+    ],
+    ids=["id", "parent", "lambda", "atom"],
+)
+def test_check_json_number_overflow(files, capsys, node, qd):
+    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    _, put = files
+    q = put("q.txt", TRIANGLE_TEXT)
+    text = json.dumps({"query": TRIANGLE_TEXT, "nodes": [node]})
+    d = put("d.json", text.replace('"BIG"', "1e400"))
+    assert run(["check", q, d] + (["--qd"] if qd else [])) == 2
+    assert "bad decomposition file" in capsys.readouterr().err
+    if not qd:
+        db = put("db.txt", "r(a,a). s(a,a). t(a,a).")
+        assert run(["eval", q, db, "--hd", d]) == 2
+        assert "bad decomposition file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "nodes, message",
     [
         (
@@ -321,6 +345,15 @@ def test_oracle_eval(files, capsys):
     _, put = files
     q = put("q.txt", Q1_TEXT)
     db = put("db.txt", DB1_TEXT)
+    assert run(["oracle", "eval", q, db]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
+def test_oracle_eval_deep_path(files, capsys):
+    _, put = files
+    path = " , ".join(f"r(X{i},X{i + 1})" for i in range(1100))
+    q = put("q.txt", f"ans <- {path}.")
+    db = put("db.txt", "r(a,a).")
     assert run(["oracle", "eval", q, db]) == 0
     assert capsys.readouterr().out.strip() == "true"
 
