@@ -13,6 +13,7 @@ normal-form validator share, and that ``v_components`` wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
@@ -45,6 +46,7 @@ class _Index:
         self.bit = {x: 1 << i for i, x in enumerate(self.vars)}
         self.atom_masks = [self.mask(a.variables()) for a in q.body]
         self.var_atoms = [i for i, m in enumerate(self.atom_masks) if m]
+        self._merge_order = _connected_order(self.atom_masks)
         self._comp_cache: dict[int, tuple[int, ...]] = {}
 
     def mask(self, names: Iterable[str]) -> int:
@@ -68,7 +70,7 @@ class _Index:
         cached = self._comp_cache.get(sep)
         if cached is not None:
             return cached
-        edges = [m & ~sep for m in self.atom_masks if m & ~sep]
+        edges = [m & ~sep for m in self._merge_order if m & ~sep]
         comps: list[int] = []
         for e in edges:
             merged = e
@@ -98,6 +100,51 @@ class _Index:
                     m |= self.atom_masks[i]
                 out.append((s, m))
         return out
+
+
+def _connected_order(masks: list[int]) -> list[int]:
+    """The distinct nonzero masks, each after the first of its connected
+    part meeting an earlier one: the next mask is always the first, in the
+    given order, that meets one already placed.  A given order with that
+    property is kept as it is.
+
+    Merging edges in this order, a new edge starts a partial component only
+    when all it shares with earlier edges lies in the separator, so on paths
+    and trees the list of partial components stays short.  Each variable's
+    mask list is walked once, so this takes O(bits + masks log masks).
+    """
+    distinct = list(dict.fromkeys(m for m in masks if m))
+    placed = 0
+    for m in distinct:
+        if placed and not m & placed:
+            break
+        placed |= m
+    else:  # each mask meets an earlier one: the order is already connected
+        return distinct
+    holders: dict[int, list[int]] = {}
+    for j, m in enumerate(distinct):
+        while m:
+            x = m & -m
+            holders.setdefault(x, []).append(j)
+            m ^= x
+    seen = [False] * len(distinct)
+    order: list[int] = []
+    for start in range(len(distinct)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        reached = [start]  # a heap of indices that meet a placed mask
+        while reached:
+            m = distinct[heappop(reached)]
+            order.append(m)
+            while m:
+                x = m & -m
+                m ^= x
+                for j in holders.pop(x, ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        heappush(reached, j)
+    return order
 
 
 def v_adjacent(q: ConjunctiveQuery, v: Iterable[str], x: str, y: str) -> bool:

@@ -219,33 +219,42 @@ def is_acyclic(q: ConjunctiveQuery) -> Optional[JoinTree]:
 
 
 def gyo_acyclic(q: ConjunctiveQuery) -> bool:
-    """Ear removal: repeatedly drop covered edges and solitary variables."""
-    edges = []
-    for a in q.body:
-        vs = set(a.variables())
-        if vs:
-            edges.append(vs)
-    changed = True
-    while changed and edges:
-        changed = False
-        for i, e in enumerate(edges):
-            if any(j != i and e <= edges[j] for j in range(len(edges))):
-                del edges[i]
-                changed = True
-                break
-        if changed:
+    """Ear removal: repeatedly drop solitary variables and covered edges.
+
+    Queue-based, linear in the total arity apart from the cover tests
+    (Tarjan & Yannakakis 1984).  An edge can lose a variable, and so become
+    covered or empty, only when one of its variables drops to a single
+    holder, so only then is that holder queued again.  A cover of e holds
+    every variable of e, so e is tested only against the holders of its
+    rarest variable.
+    """
+    edges: list[Optional[set[str]]] = [set(a.variables()) for a in q.body]
+    holders: dict[str, set[int]] = {}
+    for i, e in enumerate(edges):
+        for x in e:
+            holders.setdefault(x, set()).add(i)
+    left = len(edges)
+    queue = list(range(left))
+    while queue:
+        i = queue.pop()
+        e = edges[i]
+        if e is None:
             continue
-        counts: dict[str, int] = {}
-        for e in edges:
-            for x in e:
-                counts[x] = counts.get(x, 0) + 1
-        for e in edges:
-            ears = {x for x in e if counts[x] == 1}
-            if ears:
-                e -= ears
-                changed = True
-        edges = [e for e in edges if e]
-    return not edges
+        for x in [x for x in e if len(holders[x]) == 1]:
+            e.remove(x)
+            del holders[x]
+        if e:
+            rarest = min(e, key=lambda x: len(holders[x]))
+            if not any(j != i and e <= edges[j] for j in holders[rarest]):
+                continue
+        edges[i] = None
+        left -= 1
+        for x in e:
+            rest = holders[x]
+            rest.remove(i)
+            if len(rest) == 1:
+                queue.extend(rest)
+    return not left
 
 
 def fixpoint_decide(q: ConjunctiveQuery, k: int) -> bool:

@@ -10,6 +10,7 @@ independent backtracking evaluator used as the oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
@@ -167,16 +168,30 @@ def _vertex_tables(
     overlap with chi(p).  Every solution restricted to chi(p) satisfies such
     an A, so folding it in drops only rows that no solution uses, and the
     width stays the same.  HD1 gives every atom such a vertex, so any valid
-    decomposition will do.  Each distinct atom is scanned once per call."""
+    decomposition will do.  Each distinct atom is scanned once per call.
+
+    Each atom is listed under its rarest variable, so a vertex finds the
+    atoms inside chi(p) through the lists of its chi variables alone, each
+    atom at most once; variable-free atoms go into every vertex."""
+    avars = [a.variables() for a in q.body]
+    count = Counter(x for va in avars for x in va)
+    listed: dict[str, list[int]] = {}
+    ground = []
+    for i, va in enumerate(avars):
+        if va:
+            listed.setdefault(min(va, key=count.__getitem__), []).append(i)
+        else:
+            ground.append(i)
     scans: dict[tuple, tuple[Schema, Rows]] = {}
     parts_of: dict[tuple, tuple[Schema, Rows]] = {}
     out: dict[int, tuple[Schema, Rows]] = {}
     for v in h:
+        folded = set(v.lam).union(ground)
+        for x in v.chi:
+            folded.update(i for i in listed.get(x, ()) if avars[i] <= v.chi)
         parts = []
-        for i, a in enumerate(q.body):
-            va = a.variables()
-            if i not in v.lam and not va <= v.chi:
-                continue
+        for i in sorted(folded):
+            a, va = q.body[i], avars[i]
             scan = (a.relation, a.args)
             overlap = tuple(sorted(va & v.chi))
             if (scan, overlap) not in parts_of:

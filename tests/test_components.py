@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from htd import parse_query
 from htd.components import (
+    _Index,
     atoms_of_component,
     component_of,
     v_adjacent,
@@ -139,3 +140,67 @@ def test_monotone_refinement(seed):
     coarse = members(q, v)
     for fine in members(q, v2):
         assert any(fine <= c for c in coarse)
+
+
+def bfs_components(q, idx, sep):
+    """[V]-components by definition, for V the variables of sep: x and y are
+    adjacent when some atom holds both outside V; breadth-first search over
+    variable names, started at each unvisited variable in sorted order, so
+    the components come out by least variable, as masks of idx."""
+    v = idx.unmask(sep)
+    adj = {}
+    for a in q.body:
+        rest = a.variables() - v
+        for x in rest:
+            adj.setdefault(x, set()).update(rest)
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for x in queue:
+            for y in adj[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        comps.append(idx.mask(queue))
+    return tuple(comps)
+
+
+def test_index_components_match_bfs():
+    """The merge order inside _Index must not change what components()
+    returns, order included."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([4, 8, 12]),
+            max_vars=rng.choice([6, 10, 14]),
+            max_arity=rng.choice([2, 3, 4]),
+        )
+        idx = _Index(q)
+        seps = {0, (1 << len(idx.vars)) - 1}
+        seps.update(rng.getrandbits(len(idx.vars)) for _ in range(10))
+        seps.update(m for _, m in idx.candidates(2))
+        for sep in seps:
+            assert idx.components(sep) == bfs_components(q, idx, sep), (seed, sep)
+
+
+@pytest.mark.parametrize("family", sorted(util.FAMILIES))
+def test_index_components_on_families(family):
+    rng = random.Random(family)
+    for n in (3, 8, 20):
+        q = util.family_query(family, n, rng, ground=1)
+        idx = _Index(q)
+        for _, sep in idx.candidates(2 if family != "clique" else 1):
+            assert idx.components(sep) == bfs_components(q, idx, sep)
+
+
+def test_index_on_5000_atom_path():
+    """Building the merge order takes one pass; no timing bound is set."""
+    q = util.family_query("path", 5000, random.Random(5000))
+    idx = _Index(q)
+    assert len(idx.components(0)) == 1
+    middle = next(m for m in idx.atom_masks if idx.unmask(m) >= {"V2500"})
+    assert idx.components(middle) == bfs_components(q, idx, middle)

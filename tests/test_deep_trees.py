@@ -1,4 +1,5 @@
-"""Tree checks on a 5,000-atom path, built by hand without the search.
+"""Tree checks and evaluation on a 5,000-atom path, built by hand without
+the search.
 
 Each check is one pass over the tree; a check that rescanned the tree once
 per variable or atom would take minutes here.  No timing bound is set.
@@ -6,7 +7,7 @@ per variable or atom would take minutes here.  No timing bound is set.
 
 from dataclasses import replace
 
-from htd import parse_query
+from htd import eval_boolean, eval_full, parse_database, parse_query
 from htd.hypertree import (
     Hypertree,
     HtVertex,
@@ -25,7 +26,8 @@ from htd.hypertree import (
 
 N = 5000
 MOVED = 2500  # the vertex of atom MOVED is hung under the root in the mutants
-Q = parse_query("ans <- " + ", ".join(f"r(X{i},X{i + 1})" for i in range(N)) + ".")
+BODY = ", ".join(f"r(X{i},X{i + 1})" for i in range(N))
+Q = parse_query(f"ans <- {BODY}.")
 
 
 def parent(i):
@@ -36,11 +38,16 @@ def moved(verts, key):
     return [replace(v, parent=0) if getattr(v, key) == MOVED else v for v in verts]
 
 
-def test_path_hd():
-    verts = [
+def path_hd_vertices():
+    """Vertex i holds atom i, below vertex i - 1."""
+    return [
         HtVertex(i, parent(i), frozenset({f"X{i}", f"X{i + 1}"}), frozenset({i}))
         for i in range(N)
     ]
+
+
+def test_path_hd():
+    verts = path_hd_vertices()
     h = Hypertree(verts)
     assert validate_hd(Q, h).valid
     assert is_complete(Q, h)
@@ -56,10 +63,7 @@ def test_path_hd():
 def test_path_hd_with_chain_to_jointree():
     # a chain of N extra vertices under vertex 0, each repeating atom 0's
     # lam with chi {X0}; ids rise toward the root, so the leaf comes first
-    verts = [
-        HtVertex(i, parent(i), frozenset({f"X{i}", f"X{i + 1}"}), frozenset({i}))
-        for i in range(N)
-    ]
+    verts = path_hd_vertices()
     verts += [
         HtVertex(j, 0 if j == 2 * N - 1 else j + 1, frozenset({"X0"}), frozenset({0}))
         for j in range(N, 2 * N)
@@ -67,6 +71,15 @@ def test_path_hd_with_chain_to_jointree():
     jt = hd_to_jointree(Q, Hypertree(verts))
     assert validate_jointree(Q, jt).valid
     assert sorted(v.atom for v in jt) == list(range(N))
+
+
+def test_eval_along_path_hd():
+    # each vertex folds its own atom in; a vertex that rescanned the whole
+    # body for atoms inside chi would make this quadratic
+    h = Hypertree(path_hd_vertices())
+    db = parse_database("r(a,a).")
+    assert eval_boolean(Q, db, hd=h)
+    assert eval_full(parse_query(f"ans(X0) <- {BODY}."), db, hd=h) == [("a",)]
 
 
 def test_path_qd():

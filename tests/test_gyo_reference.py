@@ -1,0 +1,128 @@
+"""gyo_acyclic against the plain ear-removal loop.
+
+``reference_gyo`` rescans every pair of edges after each removal, which is
+cubic; the queue-based ``gyo_acyclic`` must give the same answer on every
+input.  The 5,000-atom cases would take minutes with such rescans; no timing
+bound is set on them.
+"""
+
+import random
+import time
+
+import pytest
+
+from htd import decompose, gyo_acyclic, parse_query
+
+import util
+
+
+def reference_gyo(q):
+    """Ear removal: repeatedly drop covered edges and solitary variables."""
+    edges = []
+    for a in q.body:
+        vs = set(a.variables())
+        if vs:
+            edges.append(vs)
+    changed = True
+    while changed and edges:
+        changed = False
+        for i, e in enumerate(edges):
+            if any(j != i and e <= edges[j] for j in range(len(edges))):
+                del edges[i]
+                changed = True
+                break
+        if changed:
+            continue
+        counts: dict[str, int] = {}
+        for e in edges:
+            for x in e:
+                counts[x] = counts.get(x, 0) + 1
+        for e in edges:
+            ears = {x for x in e if counts[x] == 1}
+            if ears:
+                e -= ears
+                changed = True
+        edges = [e for e in edges if e]
+    return not edges
+
+
+def acyclic_by_construction(family, n):
+    """Cycles of length 3 and up, 2 x n grids with n >= 2 and cliques with 3
+    or more vertices are cyclic; every other family member is acyclic."""
+    least_cyclic = {"cycle": 3, "grid2x": 2, "clique": 3}
+    return n < least_cyclic.get(family, n + 1)
+
+
+def test_agrees_on_random_queries():
+    for seed in range(3000):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng, max_atoms=7, max_vars=7, max_arity=rng.choice([2, 3, 4])
+        )
+        assert gyo_acyclic(q) == reference_gyo(q), (seed, str(q))
+
+
+@pytest.mark.parametrize("family", sorted(util.FAMILIES))
+def test_agrees_on_families(family):
+    rng = random.Random(family)
+    for n in [*range(1, 12), 20, 40, 60]:
+        for ground in (0, 1, 3):
+            q = util.family_query(family, n, rng, ground)
+            if len(q.body) > 60 + ground:
+                continue
+            want = acyclic_by_construction(family, n)
+            assert reference_gyo(q) == want, (family, n, str(q))
+            assert gyo_acyclic(q) == want, (family, n, str(q))
+
+
+def test_variable_free_only():
+    for text in ("ans <- .", "ans <- g.", "ans <- g(a), g, h(a,b)."):
+        q = parse_query(text)
+        assert gyo_acyclic(q) and reference_gyo(q), text
+
+
+@pytest.mark.parametrize(
+    "family, want",
+    [("path", True), ("star", True), ("tree", True), ("cycle", False)],
+)
+def test_5000_atoms(family, want):
+    q = util.family_query(family, 5000, random.Random(5000))
+    assert gyo_acyclic(q) == want
+
+
+def test_independent_of_the_search():
+    """Aim 3: the oracle names nothing of the fast path it checks."""
+    names = set()
+    codes = [gyo_acyclic.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    assert not names & {"_Index", "decompose", "components"}
+
+
+def best_time(f, q, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        f(q)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["path", "star", "tree"])
+def test_scaling(family):
+    """Doubling n at most triples gyo_acyclic's time (best of 5).  The
+    ratio for decompose(., 1) is printed only; run with -s to see it."""
+    n = 500
+    q1 = util.family_query(family, n, random.Random(1))
+    q2 = util.family_query(family, 2 * n, random.Random(2))
+    gyo = best_time(gyo_acyclic, q2, 5) / best_time(gyo_acyclic, q1, 5)
+    t1 = best_time(lambda q: decompose(q, 1), q1, 1)
+    t2 = best_time(lambda q: decompose(q, 1), q2, 1)
+    print(
+        f"{family}: gyo_acyclic x{gyo:.2f}; "
+        f"decompose(., 1) {t1:.3f} s -> {t2:.3f} s, x{t2 / t1:.2f}"
+    )
+    assert gyo <= 3, (family, gyo)

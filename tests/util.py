@@ -66,3 +66,37 @@ def rand_db(
             relations[rel] = rows
             kept[rel] = ar
     return Database(relations, kept)
+
+
+# Edge lists of hypergraph families over variables 0, 1, ...; n is the
+# family's size: the number of atoms of a path, star or tree, the length of
+# a cycle, the columns of a 2 x n grid, the vertices of a clique.
+FAMILIES = {
+    "path": lambda n, rng: [(i, i + 1) for i in range(n)],
+    "star": lambda n, rng: [(0, i) for i in range(1, n + 1)],
+    "tree": lambda n, rng: [(rng.randrange(i), i) for i in range(1, n + 1)],
+    "cycle": lambda n, rng: [(i, (i + 1) % n) for i in range(n)],
+    "grid2x": lambda n, rng: [
+        (2 * i + r, 2 * i + 2 + r) for i in range(n - 1) for r in (0, 1)
+    ]
+    + [(2 * i, 2 * i + 1) for i in range(n)],
+    "clique": lambda n, rng: [(i, j) for i in range(n) for j in range(i + 1, n)],
+}
+
+
+def family_query(
+    family: str, n: int, rng: random.Random, ground: int = 0
+) -> ConjunctiveQuery:
+    """Binary atoms over a family's edges, in shuffled order, each flipped at
+    random, with shuffled variable names; plus ``ground`` variable-free
+    atoms, empty or over constants."""
+    edges = FAMILIES[family](n, rng)
+    n_vars = 1 + max((max(e) for e in edges), default=0)
+    names = [f"V{j}" for j in rng.sample(range(n_vars), n_vars)]
+    atoms = [("e", tuple(variable(names[x]) for x in rng.sample(e, 2))) for e in edges]
+    for _ in range(ground):
+        consts = rng.sample("abc", rng.randint(0, 2))
+        atoms.append(("g", tuple(constant(c) for c in consts)))
+    rng.shuffle(atoms)
+    body = tuple(Atom(rel, args, i) for i, (rel, args) in enumerate(atoms))
+    return ConjunctiveQuery(Atom("ans", ()), body)
