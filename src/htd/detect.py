@@ -336,33 +336,33 @@ def brute_force_qw(
         groups: list[tuple[set[int], set[str]]] = []
         for i in sorted(f):
             vs = atom_vars[i] - sep_vars
-            merged_atoms, merged_vars = {i}, set(vs)
-            rest = []
-            for ga, gv in groups:
-                if gv & merged_vars:
-                    merged_atoms |= ga
-                    merged_vars |= gv
-                else:
-                    rest.append((ga, gv))
-            rest.append((merged_atoms, merged_vars))
+            rest, hit = [], []
+            for g in groups:  # the groups share no variable: i joins those it meets
+                (hit if g[1] & vs else rest).append(g)
+            # merge into the largest group met, so no atom moves often
+            if len(hit) > 1:
+                hit.sort(key=lambda g: len(g[0]))
+            ga, gv = hit.pop() if hit else (set(), set())
+            for oa, ov in hit:
+                ga |= oa
+                gv |= ov
+            ga.add(i)
+            gv |= vs
+            rest.append((ga, gv))
             groups = rest
         return [frozenset(ga) for ga, _ in groups]
 
-    def qdec(f: frozenset[int], r: frozenset[int]) -> Optional[tuple]:
-        """Witness subtree (label, child witnesses) covering exactly f."""
-        key = (f, r)
-        if key in memo:
-            return memo[key]
+    def qdec(f: frozenset[int], r: frozenset[int]):
+        """Witness subtree (label, child witnesses) covering exactly f, or
+        None; yields each (block, separator) it needs and receives that
+        block's witness by send."""
         fuel[0] -= 1
         if fuel[0] < 0:
             raise InconclusiveError("query-width search budget exhausted")
         fvars = frozenset().union(*(atom_vars[i] for i in f))
         boundary = fvars & outside_vars(f)
         pool = sorted(f | r)
-        found = None
         for size in range(1, k + 1):
-            if found is not None:
-                break
             for s in combinations(pool, size):
                 sset = frozenset(s)
                 if not sset & f:
@@ -372,8 +372,7 @@ def brute_force_qw(
                     continue
                 remaining = f - sset
                 if not remaining:
-                    found = (sset, [])
-                    break
+                    return (sset, [])
                 groups = grouped(remaining, svars)
                 parts = sorted(
                     _set_partitions(groups), key=len, reverse=True
@@ -386,32 +385,42 @@ def brute_force_qw(
                         )
                     kids = []
                     for block in part:
-                        w = qdec(frozenset().union(*block), sset)
+                        w = yield (frozenset().union(*block), sset)
                         if w is None:
-                            kids = None
                             break
                         kids.append(w)
-                    if kids is not None:
-                        found = (sset, kids)
-                        break
-                if found is not None:
-                    break
-        memo[key] = found
-        return found
+                    else:
+                        return (sset, kids)
+        return None
 
-    witness = qdec(all_atoms, frozenset())
-    if witness is None:
+    # drive a stack of qdec generators, so deep witnesses need no recursion
+    key = (all_atoms, frozenset())
+    stack: list = []
+    while True:
+        if key in memo:
+            w = memo[key]
+        else:
+            stack.append((key, qdec(*key)))
+            w = None  # a new generator starts on send(None)
+        while stack:
+            key, state = stack[-1]
+            try:
+                key = state.send(w)  # the next (block, separator) to solve
+                break
+            except StopIteration as done:
+                memo[key] = w = done.value
+                stack.pop()
+        else:
+            break
+    if w is None:
         return None
     verts: list[QdVertex] = []
-
-    def emit(node, parent: Optional[int]):
-        label, kids = node
+    todo = [(w, None)]  # preorder, children in witness order
+    while todo:
+        (label, kids), parent = todo.pop()
         vid = len(verts)
         verts.append(
             QdVertex(vid, parent, frozenset(("atom", i) for i in sorted(label)))
         )
-        for child in kids:
-            emit(child, vid)
-
-    emit(witness, None)
+        todo.extend((child, vid) for child in reversed(kids))
     return QueryDecomposition(verts)

@@ -3,26 +3,27 @@
 A width-k decomposition turns the query into an acyclic one: each vertex gets
 the join of its labeled atoms, and of every atom whose variables it covers,
 projected to the vertex variables.  The tree is then processed with semijoin
-passes (bottom-up for the Boolean answer, both directions plus an upward
-join that projects as it goes for full answers).  ``brute_force_eval`` is an
-independent backtracking evaluator used as the oracle.
+passes (bottom-up for the Boolean answer; for full answers both directions,
+then one factorized upward pass that builds answer rows only at the root).
+``brute_force_eval`` is an independent backtracking evaluator, the oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .detect import hypertree_width
-from .errors import DatabaseFormatError, InconclusiveError, InvalidDecompositionError
+from .errors import DatabaseFormatError, InconclusiveError
 from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd
 from .model import Atom, ConjunctiveQuery, Database, variable
 
 Schema = tuple[str, ...]
-Rows = AbstractSet[tuple[str, ...]]
+Rows = Collection[tuple[str, ...]]
 
 
 def _keys(schema: Schema, cols: Iterable[str], rows: Rows) -> Iterator:
@@ -64,16 +65,13 @@ def _atom_rows(a: Atom, db: Database) -> tuple[Schema, Rows]:
     rows: set[tuple[str, ...]] = set()
     for t in tuples:
         env: dict[str, str] = {}
-        ok = True
         for term, val in zip(a.args, t):
             if term.is_variable:
                 if env.setdefault(term.name, val) != val:
-                    ok = False
                     break
             elif term.name != val:
-                ok = False
                 break
-        if ok:
+        else:
             rows.add(tuple(env[x] for x in schema))
     return schema, rows
 
@@ -92,31 +90,6 @@ def _join(s1: Schema, r1: Rows, s2: Schema, r2: Rows) -> tuple[Schema, Rows]:
         if match:
             out.update(map(row.__add__, match))
     return s1 + extra, out
-
-
-def _join_project(
-    s1: Schema, r1: Rows, s2: Schema, r2: Rows, keep: set[str]
-) -> tuple[Schema, Rows]:
-    """The join projected to keep, without building the joined rows: each
-    shared key of r2 maps to the set of its kept columns, and rows of r1
-    that agree on their kept columns union their matches."""
-    shared = [x for x in s1 if x in s2]
-    own = tuple(x for x in s1 if x in keep)
-    extra = tuple(x for x in s2 if x in keep and x not in s1)
-    if not extra:
-        return _project(s1, _semijoin(s1, r1, s2, r2), own)
-    index: dict[object, set[tuple]] = {}
-    for key, ext in zip(_keys(s2, shared, r2), _pick(s2, extra, r2)):
-        index.setdefault(key, set()).add(ext)
-    groups: dict[tuple, set[tuple]] = {}
-    for kept, key in set(zip(_pick(s1, own, r1), _keys(s1, shared, r1))):
-        match = index.get(key)
-        if match:
-            groups.setdefault(kept, set()).update(match)
-    out: set[tuple[str, ...]] = set()
-    for kept, exts in groups.items():
-        out.update(map(kept.__add__, exts))
-    return own + extra, out
 
 
 def _semijoin(s1: Schema, r1: Rows, s2: Schema, r2: Rows) -> Rows:
@@ -295,7 +268,7 @@ def eval_full(
         return [head_consts] if eval_boolean(q, db, hd, k_cap) else []
     if not _ground_atoms_hold(q, db):
         return []
-    head_vars = frozenset(t.name for t in q.head.args if t.is_variable)
+    head = tuple(dict.fromkeys(t.name for t in q.head.args if t.is_variable))
     hd = _prepare(q, hd, k_cap)
     rels = _vertex_tables(q, hd, db)
     order = hd.preorder()
@@ -306,39 +279,69 @@ def eval_full(
         if v.parent is not None:
             cs, cr = rels[vid]
             rels[vid] = (cs, _semijoin(cs, cr, *rels[v.parent]))
-    # upward join, keeping head variables and the connection to the parent;
-    # until the last child is joined, also the variables later children share
-    results: dict[int, tuple[Schema, Rows]] = {}
+    cols, rows = _extend_up(hd, order, rels, head)
+    # constants sit after the answer columns, named by their head position
+    slots = cols + tuple(i for i, t in enumerate(q.head.args) if not t.is_variable)
+    want = tuple(t.name if t.is_variable else i for i, t in enumerate(q.head.args))
+    rows = [row + head_consts for row in rows] if head_consts else rows
+    return sorted(rows if want == slots else _pick(slots, want, rows))
+
+
+def _extend_up(
+    hd: Hypertree, order: list[int], rels: dict, head: Schema
+) -> tuple[Schema, list[tuple[str, ...]]]:
+    """The answers over fully reduced vertex tables, factorized (Olteanu and
+    Zavodny, TODS 2015): each vertex below the root hands its parent a map
+    from its key on chi(v) & chi(parent) to the set of its extensions: its
+    own head variables (those outside chi(parent), in head order), then the
+    extensions of the children that carry any; by HD2 each head variable has
+    one owner.  Answer rows are built only at the root, which emits its
+    groups and their extensions in order, so the rows come out sorted."""
+    done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
     for vid in reversed(order):
-        v = hd.vertices[vid]
         schema, rows = rels[vid]
-        kids = [results[c] for c in hd.children[vid]]
-        later = [set()]  # later[i]: the variables of kids[i:]
-        for s, _ in reversed(kids):
-            later.insert(0, later[0].union(s))
-        keep = head_vars & (later[0].union(schema))
-        if v.parent is not None:
-            keep |= v.chi & hd.vertices[v.parent].chi
-        schema, rows = _project(
-            schema, rows, tuple(x for x in schema if x in keep or x in later[0])
-        )
-        for (s, r), needed_later in zip(kids, later[1:]):
-            schema, rows = _join_project(schema, rows, s, r, keep | needed_later)
-        results[vid] = schema, rows
-    root_schema, root_rows = results[hd.root_id]
-    missing = head_vars - frozenset(root_schema)
-    if missing:
-        raise InvalidDecompositionError(
-            f"head variables {sorted(missing)} not covered by the decomposition"
-        )
-    # constants sit after the root's columns, named by their head position
-    slots = root_schema + tuple(
-        i for i, t in enumerate(q.head.args) if not t.is_variable
-    )
-    cols = tuple(t.name if t.is_variable else i for i, t in enumerate(q.head.args))
-    if head_consts:
-        root_rows = {row + head_consts for row in root_rows}
-    return sorted(_project(slots, root_rows, cols)[1])
+        p = hd.parent[vid]
+        above = frozenset() if p is None else hd.vertices[p].chi
+        own = tuple(x for x in head if x in schema and x not in above)
+        kids = [done[c] for c in hd.children[vid] if done[c][0]]
+        kids.sort(key=lambda kid: head.index(kid[0][0]))  # toward head order
+        cols = own + tuple(x for kid in kids for x in kid[0])
+        conn = tuple(x for x in schema if x in above)
+        pairs = zip(_keys(schema, conn, rows), _pick(schema, own, rows))
+        table: dict = {}
+        if not kids:
+            if p is None:
+                return cols, sorted(_project(schema, rows, own)[1])
+            for key, o in pairs if cols else ():
+                table.setdefault(key, set()).add(o)
+        else:
+            # (key, own values) -> the children's keys met with them
+            groups: dict[tuple, set] = {}
+            one = len(kids) == 1  # then a child's key stands alone
+            at_of = [_keys(schema, kid[1], rows) for kid in kids]
+            for pair, at in set(zip(pairs, at_of[0] if one else zip(*at_of))):
+                groups.setdefault(pair, set()).add(at)
+            ext_of = kids[0][2] if one else {  # the product of the children's sets
+                at: reduce(_times, [kid[2][x] for kid, x in zip(kids, at)])
+                for at in set().union(*groups.values())
+            }
+            if p is None:  # each group's extensions sorted once per set of child keys
+                answers, seen = [], {}
+                for (_, o), ats in sorted(groups.items()):
+                    ats = frozenset(ats)
+                    if ats not in seen:
+                        seen[ats] = sorted(set().union(*map(ext_of.__getitem__, ats)))
+                    answers.extend(map(o.__add__, seen[ats]))
+                return cols, answers
+            for (key, o), ats in groups.items():
+                exts = set().union(*map(ext_of.__getitem__, ats))
+                table.setdefault(key, set()).update(map(o.__add__, exts) if o else exts)
+        done[vid] = cols, conn, table
+    return (), []
+
+
+def _times(left: set, right: set) -> set:
+    return {x + y for x in left for y in right}
 
 
 def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]:
@@ -365,16 +368,13 @@ def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]
             if len(t) != len(a.args):
                 continue
             local = dict(env)
-            ok = True
             for term, val in zip(a.args, t):
                 if term.is_variable:
                     if local.setdefault(term.name, val) != val:
-                        ok = False
                         break
                 elif term.name != val:
-                    ok = False
                     break
-            if ok:
+            else:
                 stack.append((i + 1, local))
     return sorted(answers)
 

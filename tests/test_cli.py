@@ -358,6 +358,14 @@ def test_oracle_eval_deep_path(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_oracle_qw_deep_path(files, capsys):
+    _, put = files
+    path = " , ".join(f"r(X{i},X{i + 1})" for i in range(1100))
+    q = put("q.txt", f"ans <- {path}.")
+    assert run(["oracle", "qw", q, "1"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["decompose"]) == 2

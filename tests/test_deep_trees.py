@@ -80,6 +80,9 @@ def test_eval_along_path_hd():
     db = parse_database("r(a,a).")
     assert eval_boolean(Q, db, hd=h)
     assert eval_full(parse_query(f"ans(X0) <- {BODY}."), db, hd=h) == [("a",)]
+    # X5000's extension is handed up through every level to the root
+    both = parse_query(f"ans(X0, X{N}) <- {BODY}.")
+    assert eval_full(both, db, hd=h) == [("a", "a")]
 
 
 def test_path_qd():

@@ -253,6 +253,7 @@ SHAPES = {
     "cycle4": ("AB", "BC", "CD", "DA"),
     "chain": ("AB", "BC", "CD", "DE"),
     "star": ("AB", "AC", "AD", "AE"),
+    "branching": ("AB", "BC", "BD", "DE", "DF"),
 }
 
 
