@@ -295,15 +295,29 @@ def fixpoint_decide(q: ConjunctiveQuery, k: int) -> bool:
 
 
 def _set_partitions(items: list):
-    """All partitions of the items into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+    """All partitions of the items into nonempty blocks, lazily: more blocks
+    first, and for each block count in the order of the plain recursion
+    (partitions of items[1:], each with items[0] put into every block in
+    turn, then alone in a new first block).  Blocks are built from the last
+    item to the first on a stack; a branch is dropped once it cannot end
+    with the block count being made."""
+    n = len(items)
+    for m in range(n, -1, -1):  # m = 0 yields only when there are no items
+        stack: list[tuple[int, list]] = [(n, [])]  # (items left, blocks)
+        while stack:
+            i, part = stack.pop()
+            if not i:
+                yield part
+                continue
+            i -= 1
+            x, b = items[i], len(part)
+            if b < m:  # x alone in a new block comes after x in each block
+                stack.append((i, [[x]] + part))
+            if m <= b + i:
+                stack.extend(
+                    (i, part[:j] + [[x] + part[j]] + part[j + 1 :])
+                    for j in reversed(range(b))
+                )
 
 
 def brute_force_qw(
@@ -374,10 +388,7 @@ def brute_force_qw(
                 if not remaining:
                     return (sset, [])
                 groups = grouped(remaining, svars)
-                parts = sorted(
-                    _set_partitions(groups), key=len, reverse=True
-                )
-                for part in parts:
+                for part in _set_partitions(groups):
                     fuel[0] -= 1
                     if fuel[0] < 0:
                         raise InconclusiveError(

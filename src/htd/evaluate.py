@@ -2,9 +2,9 @@
 
 A width-k decomposition turns the query into an acyclic one: each vertex gets
 the join of its labeled atoms, and of every atom whose variables it covers,
-projected to the vertex variables.  The tree is then processed with semijoin
-passes (bottom-up for the Boolean answer; for full answers both directions,
-then one factorized upward pass that builds answer rows only at the root).
+projected to the vertex variables.  One bottom-up pass then semijoins each
+vertex with its children and, for full answers, hands the parent the vertex's
+extensions, factorized, so that answer rows are built only at the root.
 ``brute_force_eval`` is an independent backtracking evaluator, the oracle.
 """
 
@@ -211,32 +211,11 @@ def _ground_atoms_hold(q: ConjunctiveQuery, db: Database) -> bool:
     if any body atom's relation has another arity in the database."""
     for a in q.body:
         _check_arity(a, db)
-    return all(_atom_rows(a, db)[1] for a in q.body if not a.variables())
-
-
-def _variable_free_ok(q: ConjunctiveQuery, db: Database) -> bool:
-    """Every variable-free atom is a fact; raises DatabaseFormatError on an
-    atom whose relation has another arity in the database."""
-    for a in q.body:
-        arity = db.arities.get(a.relation, len(a.args))
-        if arity != len(a.args):
-            raise DatabaseFormatError(
-                f"relation {a.relation} has arity {arity}, query uses {len(a.args)}"
-            )
     return all(
         tuple(t.name for t in a.args) in db.tuples(a.relation)
         for a in q.body
         if not a.variables()
     )
-
-
-def _semijoin_up(hd: Hypertree, order: list[int], rels: dict) -> None:
-    """Bottom-up semijoin pass along the preorder, in place."""
-    for vid in reversed(order):
-        p = hd.parent[vid]
-        if p is not None:
-            ps, pr = rels[p]
-            rels[p] = (ps, _semijoin(ps, pr, *rels[vid]))
 
 
 def eval_boolean(
@@ -251,9 +230,7 @@ def eval_boolean(
     if not any(a.variables() for a in q.body):
         return True
     hd = _prepare(q, hd, k_cap)
-    rels = _vertex_tables(q, hd, db)
-    _semijoin_up(hd, hd.preorder(), rels)
-    return bool(rels[hd.root_id][1])
+    return bool(_extend_up(hd, _vertex_tables(q, hd, db), ())[1])
 
 
 def eval_full(
@@ -270,16 +247,7 @@ def eval_full(
         return []
     head = tuple(dict.fromkeys(t.name for t in q.head.args if t.is_variable))
     hd = _prepare(q, hd, k_cap)
-    rels = _vertex_tables(q, hd, db)
-    order = hd.preorder()
-    # full reducer: semijoin up, then down
-    _semijoin_up(hd, order, rels)
-    for vid in order:
-        v = hd.vertices[vid]
-        if v.parent is not None:
-            cs, cr = rels[vid]
-            rels[vid] = (cs, _semijoin(cs, cr, *rels[v.parent]))
-    cols, rows = _extend_up(hd, order, rels, head)
+    cols, rows = _extend_up(hd, _vertex_tables(q, hd, db), head)
     # constants sit after the answer columns, named by their head position
     slots = cols + tuple(i for i, t in enumerate(q.head.args) if not t.is_variable)
     want = tuple(t.name if t.is_variable else i for i, t in enumerate(q.head.args))
@@ -288,18 +256,25 @@ def eval_full(
 
 
 def _extend_up(
-    hd: Hypertree, order: list[int], rels: dict, head: Schema
+    hd: Hypertree, rels: dict, head: Schema
 ) -> tuple[Schema, list[tuple[str, ...]]]:
-    """The answers over fully reduced vertex tables, factorized (Olteanu and
-    Zavodny, TODS 2015): each vertex below the root hands its parent a map
-    from its key on chi(v) & chi(parent) to the set of its extensions: its
-    own head variables (those outside chi(parent), in head order), then the
-    extensions of the children that carry any; by HD2 each head variable has
-    one owner.  Answer rows are built only at the root, which emits its
-    groups and their extensions in order, so the rows come out sorted."""
+    """The answers in one bottom-up pass.  Each vertex first keeps its rows
+    that meet every child's rows, already reduced, and stores them back in
+    rels: Yannakakis' upward semijoin pass, all that happens when head is
+    empty.  It then hands its parent its answers factorized (Olteanu and
+    Zavodny, TODS 2015): a map from its key on chi(v) & chi(parent) to the
+    set of its extensions: its own head variables (those outside
+    chi(parent), in head order), then the extensions of the children that
+    carry any; by HD2 each head variable has one owner.  A parent looks up
+    only keys it holds, so no top-down pass is needed.  Answer rows are
+    built only at the root, which emits its groups and their extensions in
+    order, so the rows come out sorted."""
     done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
-    for vid in reversed(order):
+    for vid in reversed(hd.preorder()):
         schema, rows = rels[vid]
+        for c in hd.children[vid]:
+            rows = _semijoin(schema, rows, *rels[c])
+        rels[vid] = schema, rows
         p = hd.parent[vid]
         above = frozenset() if p is None else hd.vertices[p].chi
         own = tuple(x for x in head if x in schema and x not in above)
@@ -346,7 +321,7 @@ def _times(left: set, right: set) -> set:
 
 def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]:
     """Backtracking over body atoms; independent of any decomposition."""
-    if not _variable_free_ok(q, db):
+    if not _ground_atoms_hold(q, db):
         return []
     answers: set[tuple[str, ...]] = set()
     atoms = [a for a in q.body if a.variables()]

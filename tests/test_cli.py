@@ -366,6 +366,15 @@ def test_oracle_qw_deep_path(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_oracle_qw_star(files, capsys):
+    # each leaf is its own group under the hub atom: Bell(39) partitions
+    _, put = files
+    star = " , ".join(f"e(X0,X{i})" for i in range(1, 41))
+    q = put("q.txt", f"ans <- {star}.")
+    assert run(["oracle", "qw", q, "1"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["decompose"]) == 2

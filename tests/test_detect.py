@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from htd import (
     is_acyclic,
     parse_query,
 )
+from htd.detect import _set_partitions
+from htd.errors import InconclusiveError
 from htd.hypertree import (
     Hypertree,
     complete_hd,
@@ -174,6 +177,38 @@ def test_brute_force_qw_zero_and_empty(q1):
     assert brute_force_qw(q1, 0) is None
     q = parse_query("ans <- .")
     assert brute_force_qw(q, 1) is not None
+
+
+def _recursive_set_partitions(items: list):
+    """``_set_partitions`` as it was before it became lazy, verbatim."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _recursive_set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_set_partitions_in_the_old_sorted_order(n):
+    items = [f"g{i}" for i in range(n)]
+    expect = sorted(_recursive_set_partitions(items), key=len, reverse=True)
+    assert list(_set_partitions(items)) == expect
+
+
+def test_brute_force_qw_budget_bounds_many_groups():
+    # separating one atom leaves 14 groups: Bell(14) = 190M partitions,
+    # which must be drawn one at a time for the budget to stop the search
+    body = []
+    for i in range(14):
+        body += [f"e(X0,A{i})", f"e(A{i},B{i})", f"e(B{i},X0)"]
+    q = parse_query(f"ans <- {', '.join(body)}.")
+    start = time.perf_counter()
+    with pytest.raises(InconclusiveError):
+        brute_force_qw(q, 1, budget=10_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_query_width_never_above_hypertree_width_on_fixtures(q1, q2, q3):

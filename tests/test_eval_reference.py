@@ -6,6 +6,8 @@ its factorized pass: after the same full reducer, each vertex joins its
 children's result tables one at a time, projecting as it goes to the head
 variables, its connection to the parent, and the variables later children
 still share (``_join_project`` and the ``later`` lists, copied verbatim).
+The full reducer, semijoins up (``_semijoin_up``, copied verbatim) then
+down, stays here, while ``eval_full`` makes one bottom-up pass.
 The queries cover branching trees whose children both carry head variables
 (the product of their extension sets), permuted and repeated head
 variables, head constants, and cycles of width 2.  Each decomposition is
@@ -28,11 +30,19 @@ from htd.evaluate import (
     _prepare,
     _project,
     _semijoin,
-    _semijoin_up,
     _vertex_tables,
     eval_boolean,
 )
 from htd.hypertree import Hypertree, HtVertex, validate_hd
+
+
+def _semijoin_up(hd: Hypertree, order: list[int], rels: dict) -> None:
+    """Bottom-up semijoin pass along the preorder, in place."""
+    for vid in reversed(order):
+        p = hd.parent[vid]
+        if p is not None:
+            ps, pr = rels[p]
+            rels[p] = (ps, _semijoin(ps, pr, *rels[vid]))
 
 
 def _join_project(
