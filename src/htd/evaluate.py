@@ -2,9 +2,9 @@
 
 A width-k decomposition turns the query into an acyclic one: each vertex gets
 the join of its labeled atoms, and of every atom whose variables it covers,
-projected to the vertex variables.  One bottom-up pass then semijoins each
-vertex with its children and, for full answers, hands the parent the vertex's
-extensions, factorized, so that answer rows are built only at the root.
+projected to the vertex variables.  The tree is then processed with semijoin
+passes (bottom-up for the Boolean answer; for full answers both directions,
+then one factorized upward pass that builds answer rows only at the root).
 ``brute_force_eval`` is an independent backtracking evaluator, the oracle.
 """
 
@@ -230,7 +230,9 @@ def eval_boolean(
     if not any(a.variables() for a in q.body):
         return True
     hd = _prepare(q, hd, k_cap)
-    return bool(_extend_up(hd, _vertex_tables(q, hd, db), ())[1])
+    rels = _vertex_tables(q, hd, db)
+    _reduce(hd, rels, down=False)
+    return bool(rels[hd.root_id][1])
 
 
 def eval_full(
@@ -247,7 +249,9 @@ def eval_full(
         return []
     head = tuple(dict.fromkeys(t.name for t in q.head.args if t.is_variable))
     hd = _prepare(q, hd, k_cap)
-    cols, rows = _extend_up(hd, _vertex_tables(q, hd, db), head)
+    rels = _vertex_tables(q, hd, db)
+    _reduce(hd, rels, down=True)
+    cols, rows = _extend_up(hd, rels, head)
     # constants sit after the answer columns, named by their head position
     slots = cols + tuple(i for i, t in enumerate(q.head.args) if not t.is_variable)
     want = tuple(t.name if t.is_variable else i for i, t in enumerate(q.head.args))
@@ -255,26 +259,34 @@ def eval_full(
     return sorted(rows if want == slots else _pick(slots, want, rows))
 
 
-def _extend_up(
-    hd: Hypertree, rels: dict, head: Schema
-) -> tuple[Schema, list[tuple[str, ...]]]:
-    """The answers in one bottom-up pass.  Each vertex first keeps its rows
-    that meet every child's rows, already reduced, and stores them back in
-    rels: Yannakakis' upward semijoin pass, all that happens when head is
-    empty.  It then hands its parent its answers factorized (Olteanu and
-    Zavodny, TODS 2015): a map from its key on chi(v) & chi(parent) to the
-    set of its extensions: its own head variables (those outside
-    chi(parent), in head order), then the extensions of the children that
-    carry any; by HD2 each head variable has one owner.  A parent looks up
-    only keys it holds, so no top-down pass is needed.  Answer rows are
-    built only at the root, which emits its groups and their extensions in
-    order, so the rows come out sorted."""
-    done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
-    for vid in reversed(hd.preorder()):
+def _reduce(hd: Hypertree, rels: dict, down: bool) -> None:
+    """Yannakakis' semijoin passes in place: bottom-up, each vertex keeps the
+    rows that meet every child's; with down, then top-down, each child keeps
+    the rows that meet its parent's (the full reducer)."""
+    order = hd.preorder()
+    for vid in reversed(order):
         schema, rows = rels[vid]
         for c in hd.children[vid]:
             rows = _semijoin(schema, rows, *rels[c])
         rels[vid] = schema, rows
+    for vid in order[1:] if down else ():
+        schema, rows = rels[vid]
+        rels[vid] = schema, _semijoin(schema, rows, *rels[hd.parent[vid]])
+
+
+def _extend_up(
+    hd: Hypertree, rels: dict, head: Schema
+) -> tuple[Schema, list[tuple[str, ...]]]:
+    """The answers over fully reduced vertex tables, factorized (Olteanu and
+    Zavodny, TODS 2015): each vertex below the root hands its parent a map
+    from its key on chi(v) & chi(parent) to the set of its extensions: its
+    own head variables (those outside chi(parent), in head order), then the
+    extensions of the children that carry any; by HD2 each head variable has
+    one owner.  Answer rows are built only at the root, which emits its
+    groups and their extensions in order, so the rows come out sorted."""
+    done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
+    for vid in reversed(hd.preorder()):
+        schema, rows = rels[vid]
         p = hd.parent[vid]
         above = frozenset() if p is None else hd.vertices[p].chi
         own = tuple(x for x in head if x in schema and x not in above)

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,10 +204,8 @@ def test_brute_force_qw_budget_bounds_many_groups():
     for i in range(14):
         body += [f"e(X0,A{i})", f"e(A{i},B{i})", f"e(B{i},X0)"]
     q = parse_query(f"ans <- {', '.join(body)}.")
-    start = time.perf_counter()
     with pytest.raises(InconclusiveError):
         brute_force_qw(q, 1, budget=10_000)
-    assert time.perf_counter() - start < 1
 
 
 def test_query_width_never_above_hypertree_width_on_fixtures(q1, q2, q3):

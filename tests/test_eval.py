@@ -23,6 +23,7 @@ from htd import (
     shrink,
     variable,
 )
+from htd import evaluate
 from htd.hypertree import Hypertree, HtVertex
 
 import util
@@ -300,3 +301,34 @@ def test_eval_on_shapes_with_repeated_relations(shape, seed):
     assert eval_full(q, db) == expect
     assert eval_full(q, db, hd=trivial_hd(q)) == expect
     assert eval_boolean(q, db) == bool(expect)
+
+
+def test_eval_full_builds_no_extensions_for_dangling_rows(monkeypatch):
+    # p pairs each of n values xi with z, s pairs xi with yi, and a and b
+    # give each yi m values; t keeps only x0.  The full reducer, up then
+    # down, leaves s one row, so the product of a's and b's extension sets is
+    # built once: m * m tuples, the output, not n * m * m as when s keeps
+    # rows whose key the reduced root lacks
+    n, m = 40, 5
+    q = parse_query("ans(A,C) <- p(X,Z), t(X,W), s(X,Y), a(Y,A), b(Y,C).")
+    hd = Hypertree(
+        [
+            HtVertex(0, None, frozenset("XZ"), frozenset({0})),
+            HtVertex(1, 0, frozenset("XW"), frozenset({1})),
+            HtVertex(2, 0, frozenset("XY"), frozenset({2})),
+            HtVertex(3, 2, frozenset("YA"), frozenset({3})),
+            HtVertex(4, 2, frozenset("YC"), frozenset({4})),
+        ]
+    )
+    facts = ["t(x0,w)."]
+    for i in range(n):
+        facts.append(f"p(x{i},z). s(x{i},y{i}).")
+        facts += [f"a(y{i},a{j}). b(y{i},c{j})." for j in range(m)]
+    db = parse_database(" ".join(facts))
+    built = []
+    times = evaluate._times
+    monkeypatch.setattr(
+        evaluate, "_times", lambda l, r: built.append(len(l) * len(r)) or times(l, r)
+    )
+    assert eval_full(q, db, hd=hd) == brute_force_eval(q, db)
+    assert sum(built) == m * m

@@ -7,7 +7,7 @@ children's result tables one at a time, projecting as it goes to the head
 variables, its connection to the parent, and the variables later children
 still share (``_join_project`` and the ``later`` lists, copied verbatim).
 The full reducer, semijoins up (``_semijoin_up``, copied verbatim) then
-down, stays here, while ``eval_full`` makes one bottom-up pass.
+down, is this file's own copy, independent of ``evaluate._reduce``.
 The queries cover branching trees whose children both carry head variables
 (the product of their extension sets), permuted and repeated head
 variables, head constants, and cycles of width 2.  Each decomposition is
