@@ -19,6 +19,7 @@ from .detect import (
     gyo_acyclic,
     hypertree_width,
     is_acyclic,
+    normalize_hd,
 )
 from .errors import (
     DatabaseFormatError,
@@ -62,7 +63,6 @@ from .hypertree import (
     hypertree_from_json,
     hypertree_to_json,
     is_complete,
-    normalize_hd,
     qd_from_json,
     qd_to_hd,
     qd_to_json,

@@ -120,28 +120,23 @@ def cmd_eval(args) -> int:
     hd = None
     if args.hd:
         _, hd = hypertree_from_json(_read(args.hd))
-    if args.boolean or q.is_boolean:
-        answer = evaluate.eval_boolean(q, db, hd, args.k_cap)
-        if args.brute:
-            brute = bool(evaluate.brute_force_eval(q, db))
-            if brute != answer:
-                print(
-                    f"mismatch: decomposition={answer} brute={brute}",
-                    file=sys.stderr,
-                )
-                return EXIT_INTERNAL
-        return _answer(q, answer, True)
-    rows = evaluate.eval_full(q, db, hd, args.k_cap)
+    boolean = args.boolean or q.is_boolean
+    solve = evaluate.eval_boolean if boolean else evaluate.eval_full
+    answer = solve(q, db, hd, args.k_cap)
     if args.brute:
         brute = evaluate.brute_force_eval(q, db)
-        if brute != rows:
+        if boolean:
+            brute = bool(brute)
+        if brute != answer:
             print(
-                f"mismatch: decomposition gave {len(rows)} rows, "
+                f"mismatch: decomposition={answer} brute={brute}"
+                if boolean
+                else f"mismatch: decomposition gave {len(answer)} rows, "
                 f"brute force gave {len(brute)}",
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
-    return _answer(q, rows, False)
+    return _answer(q, answer, boolean)
 
 
 def cmd_acyclic(args) -> int:

@@ -28,8 +28,9 @@ from .hypertree import (
     QueryDecomposition,
     complete_hd,
     hd_to_jointree,
+    validate_nf,
 )
-from .model import ConjunctiveQuery
+from .model import ConjunctiveQuery, atoms_vars
 
 
 def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
@@ -194,6 +195,29 @@ def _search_tree(
             for sub, child in reversed(kids):
                 stack.append((child, sub, chi, vid))
     return Hypertree(verts)
+
+
+def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
+    """A normal-form decomposition whose λ labels are subsets of h's.
+
+    h itself if it is in normal form; otherwise the width search's witness
+    over h's λ labels, which exists because every decomposition has a
+    normal form built from its own labels.
+    """
+    if validate_nf(q, h).valid:
+        return h
+    idx = _Index(q)
+    if not idx.var_atoms:  # no variables: the root alone is in normal form
+        return Hypertree([h.root])
+    cands: dict[tuple[int, ...], int] = {}
+    for vid in h.preorder():
+        s = tuple(sorted(i for i in h.vertices[vid].lam if idx.atom_masks[i]))
+        if s and s not in cands:
+            cands[s] = idx.mask(atoms_vars(q, s))
+    n = _search_tree(idx, list(cands.items()))
+    if n is None:
+        raise RuntimeError("no normal form over the decomposition's labels")
+    return n
 
 
 def hypertree_width(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .components import _Index
 from .errors import DecompositionFormatError, InvalidDecompositionError
@@ -407,32 +407,6 @@ def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
     return report.data["treecomp"][vid]
 
 
-def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
-    """A normal-form decomposition whose λ labels are subsets of h's.
-
-    h itself if it is in normal form; otherwise the width search's witness
-    over h's λ labels, which exists because every decomposition has a
-    normal form built from its own labels.
-    """
-    if validate_nf(q, h).valid:
-        return h
-    idx = _Index(q)
-    if not idx.var_atoms:  # no variables: the root alone is in normal form
-        return Hypertree([h.root])
-    cands: dict[tuple[int, ...], int] = {}
-    for vid in h.preorder():
-        s = tuple(sorted(i for i in h.vertices[vid].lam if idx.atom_masks[i]))
-        if s and s not in cands:
-            cands[s] = idx.mask(atoms_vars(q, s))
-    # imported here because detect imports this module
-    from .detect import _search_tree
-
-    n = _search_tree(idx, list(cands.items()))
-    if n is None:
-        raise RuntimeError("no normal form over the decomposition's labels")
-    return n
-
-
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:
     """Pure query decomposition to hypertree decomposition: chi = var(lam)."""
     if not d.is_pure():
@@ -526,46 +500,55 @@ def hypertree_to_json(q: ConjunctiveQuery, h: Hypertree) -> str:
     return json.dumps({"query": str(q), "nodes": nodes}, indent=2) + "\n"
 
 
-def _json_nodes(text: str) -> tuple[Optional[ConjunctiveQuery], list[dict]]:
-    """The query (if any) and node objects of a decomposition file."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise TypeError("top level is not an object")
-    query = doc.get("query")
-    if query is not None and not isinstance(query, str):
-        raise TypeError('"query" is not a string')
-    nodes = _json_list(doc, "nodes")
-    if not all(isinstance(n, dict) for n in nodes):
-        raise TypeError("a node is not an object")
-    return (parse_query(query) if query else None), nodes
+def _read_nodes(text: str, vertex: Callable[[dict], object]) -> tuple:
+    """The query (if any) of a decomposition file, and vertex(node) for each
+    of its node objects; a malformed file raises DecompositionFormatError."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("top level is not an object")
+        query = doc.get("query")
+        if query is not None and not isinstance(query, str):
+            raise TypeError('"query" is not a string')
+        nodes = _json(doc["nodes"], list, "nodes")
+        if not all(isinstance(n, dict) for n in nodes):
+            raise TypeError("a node is not an object")
+        q = parse_query(query) if query else None
+        verts = [vertex(n) for n in nodes]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DecompositionFormatError(f"bad decomposition file: {e}") from e
+    return q, verts
 
 
-def _json_list(obj: dict, key: str) -> list:
-    """obj[key], which must be a list (a string would read as its letters)."""
-    value = obj[key]
-    if not isinstance(value, list):
-        raise TypeError(f'"{key}" is not a list')
+def _json(value, kind: type, key: str):
+    """value, if its JSON type is kind; the match is exact, so true is not
+    an int and a string is not a list (it would read as its letters)."""
+    if type(value) is not kind:
+        name = {int: "an int", str: "a string", list: "a list"}[kind]
+        raise TypeError(f'"{key}" is not {name}')
     return value
 
 
+def _json_items(n: dict, key: str, kind: type) -> list:
+    """n[key], a list of values of JSON type kind."""
+    return [_json(x, kind, key) for x in _json(n[key], list, key)]
+
+
 def _json_parent(n: dict) -> Optional[int]:
-    return None if n["parent"] is None else int(n["parent"])
+    return None if n["parent"] is None else _json(n["parent"], int, "parent")
+
+
+def _hd_vertex(n: dict) -> HtVertex:
+    return HtVertex(
+        _json(n["id"], int, "id"),
+        _json_parent(n),
+        frozenset(_json_items(n, "chi", str)),
+        frozenset(_json_items(n, "lambda", int)),
+    )
 
 
 def hypertree_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], Hypertree]:
-    try:
-        q, nodes = _json_nodes(text)
-        verts = [
-            HtVertex(
-                int(n["id"]),
-                _json_parent(n),
-                frozenset(_json_list(n, "chi")),
-                frozenset(int(i) for i in _json_list(n, "lambda")),
-            )
-            for n in nodes
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DecompositionFormatError(f"bad decomposition file: {e}") from e
+    q, verts = _read_nodes(text, _hd_vertex)
     return q, Hypertree(verts)
 
 
@@ -582,20 +565,18 @@ def qd_to_json(q: ConjunctiveQuery, d: QueryDecomposition) -> str:
     return json.dumps({"query": str(q), "nodes": nodes}, indent=2) + "\n"
 
 
+def _qd_vertex(n: dict) -> QdVertex:
+    label = set()
+    for item in _json(n["label"], list, "label"):
+        if not isinstance(item, dict):
+            raise TypeError("a label item is not an object")
+        if "atom" in item:
+            label.add(("atom", _json(item["atom"], int, "atom")))
+        else:
+            label.add(("var", _json(item["var"], str, "var")))
+    return QdVertex(_json(n["id"], int, "id"), _json_parent(n), frozenset(label))
+
+
 def qd_from_json(text: str) -> tuple[Optional[ConjunctiveQuery], QueryDecomposition]:
-    try:
-        q, nodes = _json_nodes(text)
-        verts = []
-        for n in nodes:
-            label = set()
-            for item in _json_list(n, "label"):
-                if not isinstance(item, dict):
-                    raise TypeError("a label item is not an object")
-                if "atom" in item:
-                    label.add(("atom", int(item["atom"])))
-                else:
-                    label.add(("var", str(item["var"])))
-            verts.append(QdVertex(int(n["id"]), _json_parent(n), frozenset(label)))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DecompositionFormatError(f"bad decomposition file: {e}") from e
+    q, verts = _read_nodes(text, _qd_vertex)
     return q, QueryDecomposition(verts)

@@ -150,6 +150,8 @@ QD_NODE = {"id": 0, "parent": None, "label": [{"atom": 0}, {"atom": 1}]}
         ({"query": TRIANGLE_TEXT, "nodes": [dict(QD_NODE, label="01")]}, True),
         ({"query": TRIANGLE_TEXT, "nodes": [dict(QD_NODE, label=[0, 1])]}, True),
         ({"query": 5, "nodes": [HD_NODE]}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(HD_NODE, chi=["X", 1])]}, False),
+        ({"query": TRIANGLE_TEXT, "nodes": [dict(QD_NODE, label=[{"var": 1}])]}, True),
     ],
 )
 def test_check_malformed_json(files, capsys, doc, qd):
@@ -160,22 +162,28 @@ def test_check_malformed_json(files, capsys, doc, qd):
     assert "bad decomposition file" in capsys.readouterr().err
 
 
+BIG_NODES = {
+    "id": (dict(HD_NODE, id="BIG"), False),
+    "parent": (dict(HD_NODE, parent="BIG"), False),
+    "lambda": (dict(HD_NODE, **{"lambda": [0, "BIG"]}), False),
+    "atom": (dict(QD_NODE, label=[{"atom": 0}, {"atom": "BIG"}]), True),
+}
+
+
 @pytest.mark.parametrize(
-    "node, qd",
+    "node, qd, big",
     [
-        (dict(HD_NODE, id="BIG"), False),
-        (dict(HD_NODE, parent="BIG"), False),
-        (dict(HD_NODE, **{"lambda": [0, "BIG"]}), False),
-        (dict(QD_NODE, label=[{"atom": 0}, {"atom": "BIG"}]), True),
+        pytest.param(node, qd, big, id=where if big == "1e400" else f"{where}-{big}")
+        for big in ("1e400", "true", "0.5", '"0"')
+        for where, (node, qd) in BIG_NODES.items()
     ],
-    ids=["id", "parent", "lambda", "atom"],
 )
-def test_check_json_number_overflow(files, capsys, node, qd):
-    # json reads 1e400 as inf, and int(inf) raises OverflowError
+def test_check_json_number_overflow(files, capsys, node, qd, big):
+    # json reads 1e400 as inf; it, true, 0.5 and "0" are JSON values but not ints
     _, put = files
     q = put("q.txt", TRIANGLE_TEXT)
     text = json.dumps({"query": TRIANGLE_TEXT, "nodes": [node]})
-    d = put("d.json", text.replace('"BIG"', "1e400"))
+    d = put("d.json", text.replace('"BIG"', big))
     assert run(["check", q, d] + (["--qd"] if qd else [])) == 2
     assert "bad decomposition file" in capsys.readouterr().err
     if not qd:
@@ -202,6 +210,7 @@ def test_check_json_number_overflow(files, capsys, node, qd):
             ],
             "duplicate vertex id 0",
         ),
+        ([], "expected exactly one root vertex"),
     ],
 )
 def test_check_qd_bad_tree_shape(files, capsys, nodes, message):
@@ -291,6 +300,52 @@ def test_eval_k_cap(files, capsys):
     db = put("db.txt", "a(x,x,x,x,x).")
     assert run(["eval", q, db, "--k-cap", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, flags, wrong, message",
+    [
+        ("ans <- r(X,Y).", [], [], "mismatch: decomposition=True brute=False"),
+        (
+            "ans(X) <- r(X,Y).",
+            ["--boolean"],
+            [],
+            "mismatch: decomposition=True brute=False",
+        ),
+        (
+            "ans(X) <- r(X,Y).",
+            [],
+            [("a",), ("b",)],
+            "mismatch: decomposition gave 1 rows, brute force gave 2",
+        ),
+    ],
+)
+def test_eval_brute_mismatch_exits_3(
+    files, capsys, monkeypatch, text, flags, wrong, message
+):
+    _, put = files
+    q = put("q.txt", text)
+    db = put("db.txt", "r(a,b).")
+    monkeypatch.setattr("htd.evaluate.brute_force_eval", lambda q, db: wrong)
+    assert run(["eval", q, db, "--brute"] + flags) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_check_nf_reports_nf1(files, capsys):
+    # a valid tree whose one child holds two [parent]-components
+    _, put = files
+    q = put("q.txt", Q2_TEXT)
+    nodes = [
+        {"id": 0, "parent": None, "chi": ["P", "S"], "lambda": [2]},
+        {"id": 1, "parent": 0, "chi": list("ACPRS") + ["C'"], "lambda": [0, 1]},
+    ]
+    d = put("d.json", json.dumps({"nodes": nodes}))
+    assert run(["check", q, d]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    assert run(["check", q, d, "--nf"]) == 1
+    assert capsys.readouterr().out.startswith("CONDITION NF1 vertex 1:")
 
 
 def test_acyclic(files, capsys):

@@ -8,6 +8,7 @@ from htd import (
     InvalidDecompositionError,
     brute_force_qw,
     decompose,
+    normalize_hd,
     parse_query,
 )
 from htd.hypertree import (
@@ -23,7 +24,6 @@ from htd.hypertree import (
     hypertree_from_json,
     hypertree_to_json,
     is_complete,
-    normalize_hd,
     qd_from_json,
     qd_to_hd,
     qd_to_json,
@@ -435,6 +435,11 @@ def test_jointree_validator_catches_break(q2):
         [JtVertex(1, None), JtVertex(0, 1), JtVertex(2, 0)]
     )
     assert not validate_jointree(q2, jt).valid
+
+
+def test_jointree_validator_reports_missing_atom(q2):
+    jt = JoinTree([JtVertex(1, None), JtVertex(0, 1)])
+    assert validate_jointree(q2, jt).conditions() == {"JT0"}
 
 
 BAD_SHAPES = {

@@ -10,6 +10,7 @@ from htd import (
     gyo_acyclic,
     hypertree_width,
     is_acyclic,
+    normalize_hd,
     parse_query,
 )
 from htd.detect import _set_partitions
@@ -17,7 +18,6 @@ from htd.errors import InconclusiveError
 from htd.hypertree import (
     Hypertree,
     complete_hd,
-    normalize_hd,
     qd_to_hd,
     validate_hd,
     validate_jointree,
