@@ -69,27 +69,30 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _decomposition(q, path: str, reader):
+    """The decomposition that reader reads from the file at path; a file
+    whose "query" parses to another query than q is a format error."""
+    file_q, d = reader(_read(path))
+    if file_q is not None and file_q != q:
+        raise DecompositionFormatError("decomposition file is for another query")
+    return d
+
+
 def cmd_check(args) -> int:
     q = parse_query(_read(args.query))
-    text = _read(args.decomposition)
     if args.qd:
-        _, d = qd_from_json(text)
-        report = validate_qd(q, d)
-        _print_violations(report)
-        return EXIT_OK if report.valid else EXIT_NO
-    _, h = hypertree_from_json(text)
-    report = validate_hd(q, h)
-    if not report.valid:
-        _print_violations(report)
-        return EXIT_NO
-    if args.complete and not is_complete(q, h):
-        print("CONDITION COMPLETE vertex -: some atom lacks a covering label")
-        return EXIT_NO
-    if args.nf:
-        report = validate_nf(q, h)
-        if not report.valid:
-            _print_violations(report)
+        report = validate_qd(q, _decomposition(q, args.decomposition, qd_from_json))
+    else:
+        h = _decomposition(q, args.decomposition, hypertree_from_json)
+        report = validate_hd(q, h)
+        if report.valid and args.complete and not is_complete(q, h):
+            print("CONDITION COMPLETE vertex -: some atom lacks a covering label")
             return EXIT_NO
+        if report.valid and args.nf:
+            report = validate_nf(q, h)
+    _print_violations(report)
+    if not report.valid:
+        return EXIT_NO
     print("ok")
     return EXIT_OK
 
@@ -117,9 +120,7 @@ def _answer(q, rows, boolean: bool) -> int:
 def cmd_eval(args) -> int:
     q = parse_query(_read(args.query))
     db = parse_database(_read(args.db))
-    hd = None
-    if args.hd:
-        _, hd = hypertree_from_json(_read(args.hd))
+    hd = _decomposition(q, args.hd, hypertree_from_json) if args.hd else None
     boolean = args.boolean or q.is_boolean
     solve = evaluate.eval_boolean if boolean else evaluate.eval_full
     answer = solve(q, db, hd, args.k_cap)

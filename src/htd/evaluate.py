@@ -10,7 +10,6 @@ then one factorized upward pass that builds answer rows only at the root).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
@@ -143,30 +142,23 @@ def _vertex_tables(
     width stays the same.  HD1 gives every atom such a vertex, so any valid
     decomposition will do.  Each distinct atom is scanned once per call.
 
-    Each atom is listed under its rarest variable, so a vertex finds the
-    atoms inside chi(p) through the lists of its chi variables alone, each
-    atom at most once; variable-free atoms go into every vertex."""
+    Atom i is folded into the vertices of h._covers(q)[i], those whose chi
+    holds var(A_i), so no vertex scans the body; a variable-free atom is
+    folded into every vertex."""
     avars = [a.variables() for a in q.body]
-    count = Counter(x for va in avars for x in va)
-    listed: dict[str, list[int]] = {}
-    ground = []
-    for i, va in enumerate(avars):
-        if va:
-            listed.setdefault(min(va, key=count.__getitem__), []).append(i)
-        else:
-            ground.append(i)
+    folded = {v.id: set(v.lam) for v in h}
+    for i, covers in enumerate(h._covers(q)):
+        for vid in covers:
+            folded[vid].add(i)
     scans: dict[tuple, tuple[Schema, Rows]] = {}
     parts_of: dict[tuple, tuple[Schema, Rows]] = {}
     out: dict[int, tuple[Schema, Rows]] = {}
     for v in h:
-        folded = set(v.lam).union(ground)
-        for x in v.chi:
-            folded.update(i for i in listed.get(x, ()) if avars[i] <= v.chi)
         parts = []
-        for i in sorted(folded):
-            a, va = q.body[i], avars[i]
+        for i in sorted(folded[v.id]):
+            a = q.body[i]
             scan = (a.relation, a.args)
-            overlap = tuple(sorted(va & v.chi))
+            overlap = tuple(sorted(avars[i] & v.chi))
             if (scan, overlap) not in parts_of:
                 if scan not in scans:
                     scans[scan] = _atom_rows(a, db)

@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .components import _Index
-from .errors import DecompositionFormatError, InvalidDecompositionError
+from .errors import (
+    DecompositionFormatError,
+    InvalidDecompositionError,
+    QuerySyntaxError,
+)
 from .model import ConjunctiveQuery, atoms_vars, parse_query
 
 
@@ -114,6 +118,22 @@ class Hypertree(_RootedTree):
                 m |= below[c]
             below[vid] = m
         return below
+
+    def _covers(self, q: ConjunctiveQuery) -> list[list[int]]:
+        """Per body atom, the vertices whose chi holds all of its variables,
+        parents first; every vertex for a variable-free atom.  Each atom is
+        looked up under the variable that the fewest vertices hold."""
+        chi = {v.id: v.chi for v in self}
+        holders = self._holders(chi)
+        out = []
+        for a in q.body:
+            avars = a.variables()
+            if not avars:
+                out.append(self._topdown)
+                continue
+            rarest = min(avars, key=lambda x: len(holders.get(x, ())))
+            out.append([v for v in holders.get(rarest, ()) if avars <= chi[v]])
+        return out
 
     def width(self) -> int:
         return max((len(v.lam) for v in self), default=0)
@@ -252,17 +272,14 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the four hypertree-decomposition conditions."""
     _check_refs(q, ((v.id, v.lam, v.chi) for v in h))
     violations = []
-    # condition 1: every atom covered by some chi (that holds its least variable)
-    chi = {v.id: v.chi for v in h}
-    holders = h._holders(chi)
-    for a in q.body:
-        avars = a.variables()
-        if avars and not any(avars <= chi[v] for v in holders.get(min(avars), ())):
+    # condition 1: every atom with variables has a vertex whose chi covers it
+    for a, covers in zip(q.body, h._covers(q)):
+        if a.variables() and not covers:
             violations.append(
                 Violation("HD1", None, f"atom {a.index} ({a}) uncovered")
             )
     # condition 2: per-variable connectedness
-    for x, members in h._disconnected(chi):
+    for x, members in h._disconnected({v.id: v.chi for v in h}):
         violations.append(Violation("HD2", members, f"variable {x} disconnected"))
     idx = _Index(q)
     below = h._chi_below(idx)
@@ -320,12 +337,11 @@ def hd_width(h: Hypertree) -> int:
     return h.width()
 
 
-def _strong_covers(q: ConjunctiveQuery, h: Hypertree) -> set[int]:
-    """Atoms i with i in lam(v) and var(A_i) inside chi(v) for some v."""
-    n = len(q.body)  # is_complete takes unchecked trees: skip dangling indices
-    return {
-        i for v in h for i in v.lam if 0 <= i < n and q.body[i].variables() <= v.chi
-    }
+def _strong_covers(covers: list[list[int]], h: Hypertree) -> list[list[int]]:
+    """Per body atom i, the vertices of covers[i] whose lam holds i."""
+    return [
+        [v for v in vs if i in h.vertices[v].lam] for i, vs in enumerate(covers)
+    ]
 
 
 def complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
@@ -333,27 +349,22 @@ def complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     _require_hd(q, h)
     verts = dict(h.vertices)
     next_id = max(verts, default=-1) + 1
-    covered = _strong_covers(q, h)
-    chi = {v.id: v.chi for v in h}
-    holders = h._holders(chi)
-    for a in q.body:
-        if a.index in covered:
+    covers = h._covers(q)
+    for a, vs, strong in zip(q.body, covers, _strong_covers(covers, h)):
+        if strong:
             continue
-        avars = a.variables()
-        host = h.root_id
-        if avars:  # the covering vertices form a subtree (HD2): take its top
-            host = next(v for v in holders[min(avars)] if avars <= chi[v])
-        if host is None:  # variable-free atom under an empty tree
+        if not vs:  # variable-free atom under an empty tree
             raise InvalidDecompositionError(
                 "cannot complete an empty decomposition with atoms present"
             )
-        verts[next_id] = HtVertex(next_id, host, avars, frozenset({a.index}))
+        # the covering vertices form a subtree (HD2): hang A under its top
+        verts[next_id] = HtVertex(next_id, vs[0], a.variables(), frozenset({a.index}))
         next_id += 1
     return Hypertree(verts.values())
 
 
 def is_complete(q: ConjunctiveQuery, h: Hypertree) -> bool:
-    return _strong_covers(q, h).issuperset(a.index for a in q.body)
+    return all(_strong_covers(h._covers(q), h))
 
 
 def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
@@ -431,28 +442,21 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
     _require_hd(q, h)
     if h.width() > 1:
         raise InvalidDecompositionError(f"width {h.width()} > 1")
-    # designated vertex per atom: least id with lam={A}, chi=var(A); at
-    # width 1 these are exactly the strong covers
-    designated: dict[int, int] = {}
-    for vid in sorted(h.vertices):
-        v = h.vertices[vid]
-        if len(v.lam) == 1:
-            (a,) = v.lam
-            if v.chi == q.body[a].variables() and a not in designated:
-                designated[a] = vid
-    if len(designated) < len(q.body):
+    strong = _strong_covers(h._covers(q), h)
+    if not all(strong):
         raise InvalidDecompositionError("decomposition is not complete")
-    if not designated:
+    if not strong:
         return JoinTree([])
-    # Grow one group per atom from its designated vertex, breadth-first: a
-    # vertex joins a neighbour's group when that neighbour's chi holds its
-    # own.  Every vertex is reached: HD2 puts chi(v) on the whole path to
-    # its own atom's vertex, so an unreached vertex of largest chi would
-    # border a group that holds its chi.  Every vertex's chi lies in its
-    # group's atom, so the links between the connected groups form a join
-    # tree.
-    group = {vid: a for a, vid in designated.items()}
-    queue = list(group)
+    # Grow one group per atom from its designated vertex, its least-id
+    # strong cover (at width 1 that has lam={A} and, by HD3, chi=var(A)),
+    # breadth-first in id order: a vertex joins a neighbour's group when
+    # that neighbour's chi holds its own.  Every vertex is reached: HD2 puts
+    # chi(v) on the whole path to its own atom's vertex, so an unreached
+    # vertex of largest chi would border a group that holds its chi.  Every
+    # vertex's chi lies in its group's atom, so the links between the
+    # connected groups form a join tree.
+    group = {min(vs): a for a, vs in enumerate(strong)}
+    queue = sorted(group)
     for u in queue:  # the queue grows as the loop runs
         chi = h.vertices[u].chi
         for w in h.children[u] + [h.parent[u]]:
@@ -515,7 +519,7 @@ def _read_nodes(text: str, vertex: Callable[[dict], object]) -> tuple:
             raise TypeError("a node is not an object")
         q = parse_query(query) if query else None
         verts = [vertex(n) for n in nodes]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, QuerySyntaxError) as e:
         raise DecompositionFormatError(f"bad decomposition file: {e}") from e
     return q, verts
 

@@ -131,6 +131,58 @@ def test_check_qd(files, capsys):
         ),
     )
     assert run(["check", q, d, "--qd"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+CHAIN_TEXT = "ans <- r(X,Y), s(Y,Z)."
+CHAIN_HD = [
+    {"id": 0, "parent": None, "chi": ["X", "Y"], "lambda": [0]},
+    {"id": 1, "parent": 0, "chi": ["Y", "Z"], "lambda": [1]},
+]
+CHAIN_QD = [
+    {"id": 0, "parent": None, "label": [{"atom": 0}]},
+    {"id": 1, "parent": 0, "label": [{"atom": 1}]},
+]
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("ans <- t(A).", "error: decomposition file is for another query"),
+        ("ans(X) <- r(X,Y), s(Y,Z).", "error: decomposition file is for another query"),
+        ("ans <- r(X,Y", "bad decomposition file: expected ')'"),
+    ],
+    ids=["other-body", "other-head", "unparsable"],
+)
+def test_decomposition_file_for_another_query(files, capsys, query, message):
+    _, put = files
+    q = put("q.txt", CHAIN_TEXT)
+    db = put("db.txt", "r(a,b). s(b,c).")
+    hd = put("hd.json", json.dumps({"query": query, "nodes": CHAIN_HD}))
+    qd = put("qd.json", json.dumps({"query": query, "nodes": CHAIN_QD}))
+    for argv in (
+        ["check", q, hd],
+        ["check", q, qd, "--qd"],
+        ["eval", q, db, "--hd", hd],
+    ):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
+
+def test_decomposition_file_for_the_same_query(files, capsys):
+    # the queries are compared parsed, so spacing and comments do not matter
+    _, put = files
+    q = put("q.txt", CHAIN_TEXT)
+    db = put("db.txt", "r(a,b). s(b,c).")
+    query = "ans <-  r(X, Y),\n s(Y,Z) . % the chain"
+    hd = put("hd.json", json.dumps({"query": query, "nodes": CHAIN_HD}))
+    qd = put("qd.json", json.dumps({"query": query, "nodes": CHAIN_QD}))
+    assert run(["check", q, hd, "--nf", "--complete"]) == 0
+    assert run(["check", q, qd, "--qd"]) == 0
+    assert run(["eval", q, db, "--hd", hd]) == 0
+    assert capsys.readouterr().out == "ok\nok\ntrue\n"
 
 
 HD_NODE = {"id": 0, "parent": None, "chi": ["X", "Y", "Z"], "lambda": [0, 1]}

@@ -1,5 +1,5 @@
-"""Tree checks and evaluation on a 5,000-atom path, built by hand without
-the search.
+"""Tree checks and evaluation on a 5,000-atom path and a 5,000-leaf star,
+built by hand without the search.
 
 Each check is one pass over the tree; a check that rescanned the tree once
 per variable or atom would take minutes here.  No timing bound is set.
@@ -105,3 +105,52 @@ def test_path_jointree():
     assert validate_jointree(Q, JoinTree(moved(verts, "atom"))).violations == (
         Violation("JT1", [MOVED - 1, MOVED], f"variable X{MOVED} disconnected"),
     )
+
+
+STAR_BODY = ", ".join(f"r(A,B{i})" for i in range(N + 1))
+STAR = parse_query(f"ans <- {STAR_BODY}.")
+
+
+def star_hd_vertices():
+    """Vertex 0 holds atom 0; vertex i, one of N leaves under it, atom i.
+    The centre A sorts before every B, so it is each atom's least variable
+    and every vertex holds it."""
+    return [
+        HtVertex(i, 0 if i else None, frozenset({"A", f"B{i}"}), frozenset({i}))
+        for i in range(N + 1)
+    ]
+
+
+def test_star_hd():
+    verts = star_hd_vertices()
+    h = Hypertree(verts)
+    assert validate_hd(STAR, h).valid
+    assert is_complete(STAR, h)
+    assert list(complete_hd(STAR, h)) == verts
+    jt = hd_to_jointree(STAR, h)
+    assert validate_jointree(STAR, jt).valid
+    leaves = [JtVertex(i, 0) for i in range(1, N + 1)]
+    assert sorted(jt, key=lambda v: v.atom) == [JtVertex(0, None)] + leaves
+    # leaf MOVED without its own variable: only atom MOVED loses its cover
+    cut = [replace(v, chi=frozenset({"A"})) if v.id == MOVED else v for v in verts]
+    assert validate_hd(STAR, Hypertree(cut)).violations == (
+        Violation("HD1", None, f"atom {MOVED} (r(A,B{MOVED})) uncovered"),
+    )
+
+
+def test_eval_along_star_hd():
+    h = Hypertree(star_hd_vertices())
+    db = parse_database("r(a,b). r(a,c). r(d,b).")
+    assert eval_boolean(STAR, db, hd=h)
+    centre = parse_query(f"ans(A) <- {STAR_BODY}.")
+    assert eval_full(centre, db, hd=h) == [("a",), ("d",)]
+    # s(A) lies inside every chi, so every vertex folds it in; s has no facts
+    assert not eval_boolean(parse_query(f"ans <- {STAR_BODY}, s(A)."), db, hd=h)
+    ends = parse_query(f"ans(A, B0, B{N}) <- {STAR_BODY}.")
+    assert eval_full(ends, db, hd=h) == [
+        ("a", "b", "b"),
+        ("a", "b", "c"),
+        ("a", "c", "b"),
+        ("a", "c", "c"),
+        ("d", "b", "b"),
+    ]
