@@ -15,9 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .model import Atom, ConjunctiveQuery
+
+# separator candidates: (atom indices, mask of their variables) pairs
+Candidates = list[tuple[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,48 @@ class _Index:
     def atoms_of(self, comp: int) -> list[int]:
         return [i for i in self.var_atoms if self.atom_masks[i] & comp]
 
-    def candidates(self, k: int) -> list[tuple[tuple[int, ...], int]]:
-        """All separator candidates of size 1..k, lexicographic."""
-        out = []
-        for size in range(1, k + 1):
-            for s in combinations(self.var_atoms, size):
-                m = 0
-                for i in s:
-                    m |= self.atom_masks[i]
-                out.append((s, m))
+    def candidates(self, k: int) -> Candidates:
+        """All separator candidates of size 1..k, lexicographic.
+
+        The s-sets that start at position lo are lo followed by each
+        (s-1)-set of lo+1..n-1, the last C(n-lo-1, s-1) sets of size s-1, so
+        each size's masks extend the size below.
+        """
+        masks = level = [self.atom_masks[i] for i in self.var_atoms]
+        out: Candidates = []
+        for size in range(1, min(k, len(masks)) + 1):
+            if size > 1:
+                level = [
+                    a | m
+                    for lo, a in enumerate(masks)
+                    for m in level[len(level) - comb(len(masks) - lo - 1, size - 1) :]
+                ]
+            out += zip(combinations(self.var_atoms, size), level)
+        return out
+
+    def candidate_bits(self, k: int) -> dict[int, int]:
+        """Bit p of bits[i]: candidate p of ``candidates(k)`` contains atom i.
+
+        Of the s-sets of positions lo..n-1, in order, those holding i are
+        the first C(n-i-1, s-1) when lo = i.  When lo < i they are the
+        (s-1)-sets of lo+1..n-1 holding i, each after lo, then, shifted by
+        C(n-lo-1, s-1), the s-sets of lo+1..n-1 holding i.  That is O(n k)
+        big-int steps per atom; size 1 is just bit i.
+        """
+        n, k = len(self.var_atoms), min(k, len(self.var_atoms))
+        out = {}
+        for i, atom in enumerate(self.var_atoms):
+            # runs[s] for s >= 1: the s-sets of lo..n-1 holding i, lo = i first
+            runs = [0] + [(1 << comb(n - i - 1, s - 1)) - 1 for s in range(1, k + 1)]
+            for lo in range(i - 1, -1, -1) if k > 1 else ():
+                for s in range(k, 1, -1):
+                    runs[s] = runs[s - 1] | runs[s] << comb(n - lo - 1, s - 1)
+                runs[1] <<= 1
+            bits, offset = 1 << i, n
+            for s in range(2, k + 1):
+                bits |= runs[s] << offset
+                offset += comb(n, s)
+            out[atom] = bits
         return out
 
 

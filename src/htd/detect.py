@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .components import _Index
+from .components import Candidates, _Index
 from .errors import InconclusiveError
 from .hypertree import (
     Hypertree,
@@ -44,29 +44,22 @@ class _Search:
     """Memoized top-down search over (component, border) states.
 
     ``cands`` lists the separator candidates as (atoms, variable mask)
-    pairs: ``idx.candidates(k)`` for the width search, a tree's λ labels for
-    ``normalize_hd``.  Bit p of a candidate bitset stands for candidate p.
-    A state's usable candidates, those that cover its border and meet its
-    component, come from ANDing per-variable bitsets, and are tried in list
-    order, so the first success is the same one a linear scan of the list
-    would find.
+    pairs and ``atom_bits`` maps each atom to the bitset of the candidates
+    holding it, bit p for candidate p: ``idx.candidates(k)`` and its bulk
+    ``idx.candidate_bits(k)`` for the width search, a tree's λ labels and
+    ``_label_bits`` of them for ``normalize_hd``.  A state's usable
+    candidates, those that cover its border and meet its component, come
+    from ANDing per-variable bitsets, and are tried in list order, so the
+    first success is the same one a linear scan of the list would find.
     """
 
-    def __init__(self, idx: _Index, cands: list[tuple[tuple[int, ...], int]]):
+    def __init__(self, idx: _Index, cands: Candidates, atom_bits: dict[int, int]):
         self.idx = idx
         self.cands = cands
-        n = len(self.cands)
-        # bit p of atom_bits[i]: candidate p contains atom i; of var_bits[x]:
-        # candidate p contains the variable whose bit is x
-        rows = {i: bytearray((n + 7) // 8) for i in idx.var_atoms}
-        for p, (s, _) in enumerate(self.cands):
-            for i in s:
-                rows[i][p >> 3] |= 1 << (p & 7)
-        self.atom_bits = {
-            i: int.from_bytes(row, "little") for i, row in rows.items()
-        }
+        self.atom_bits = atom_bits
+        # bit p of var_bits[x]: candidate p contains the variable whose bit is x
         self.var_bits: dict[int, int] = {}
-        for i, bits in self.atom_bits.items():
+        for i, bits in atom_bits.items():
             m = idx.atom_masks[i]
             while m:
                 x = m & -m
@@ -161,17 +154,17 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     idx = _Index(q)
     if not idx.var_atoms:
         return _trivial_tree(q)
-    return _search_tree(idx, idx.candidates(k))
+    return _search_tree(idx, idx.candidates(k), idx.candidate_bits(k))
 
 
 def _search_tree(
-    idx: _Index, cands: list[tuple[tuple[int, ...], int]]
+    idx: _Index, cands: Candidates, atom_bits: dict[int, int]
 ) -> Optional[Hypertree]:
     """The normal-form tree the search builds over cands, or None if none.
 
     idx must have at least one atom with variables.
     """
-    search = _Search(idx, cands)
+    search = _Search(idx, cands, atom_bits)
     witnesses = []
     for comp in idx.components(0):
         w = search.solve(comp, 0)
@@ -197,6 +190,15 @@ def _search_tree(
     return Hypertree(verts)
 
 
+def _label_bits(idx: _Index, labels: Candidates) -> dict[int, int]:
+    """Bit p of bits[i]: label p contains atom i, set label by label."""
+    rows = {i: bytearray((len(labels) + 7) // 8) for i in idx.var_atoms}
+    for p, (s, _) in enumerate(labels):
+        for i in s:
+            rows[i][p >> 3] |= 1 << (p & 7)
+    return {i: int.from_bytes(row, "little") for i, row in rows.items()}
+
+
 def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     """A normal-form decomposition whose λ labels are subsets of h's.
 
@@ -214,7 +216,8 @@ def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
         s = tuple(sorted(i for i in h.vertices[vid].lam if idx.atom_masks[i]))
         if s and s not in cands:
             cands[s] = idx.mask(atoms_vars(q, s))
-    n = _search_tree(idx, list(cands.items()))
+    labels = list(cands.items())
+    n = _search_tree(idx, labels, _label_bits(idx, labels))
     if n is None:
         raise RuntimeError("no normal form over the decomposition's labels")
     return n
@@ -226,6 +229,8 @@ def hypertree_width(
     """Smallest width and a witness, searching k = 1..k_max."""
     bound = max(1, sum(1 for a in q.body if a.variables()))
     if k_max is not None:
+        if k_max < 1:
+            raise ValueError("k must be at least 1")
         bound = min(bound, k_max)
     for k in range(1, bound + 1):
         h = decompose(q, k)

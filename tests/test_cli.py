@@ -291,6 +291,18 @@ def test_width(files, capsys):
     assert run(["width", q, "--max", "1"]) == 1
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_width_bound_below_one_is_a_usage_error(files, capsys, bound):
+    _, put = files
+    q = put("q.txt", Q5_TEXT)
+    db = put("db.txt", "a(x,x,x,x,x).")
+    for argv in (["width", q, "--max", bound], ["eval", q, db, "--k-cap", bound]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be at least 1" in captured.err
+
+
 def test_eval_boolean(files, capsys):
     _, put = files
     q = put("q.txt", Q1_TEXT)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,3 +205,58 @@ def test_index_on_5000_atom_path():
     assert len(idx.components(0)) == 1
     middle = next(m for m in idx.atom_masks if idx.unmask(m) >= {"V2500"})
     assert idx.components(middle) == bfs_components(q, idx, middle)
+
+
+def plain_candidates(q, idx, k):
+    """The candidate list and per-atom bitsets, one combination at a time."""
+    cands, bits = [], {i: 0 for i in idx.var_atoms}
+    for size in range(1, k + 1):
+        for s in combinations(idx.var_atoms, size):
+            for i in s:
+                bits[i] |= 1 << len(cands)
+            cands.append((s, idx.mask(v for i in s for v in q.body[i].variables())))
+    return cands, bits
+
+
+def assert_bulk_build_is_plain(q, k):
+    idx = _Index(q)
+    cands, bits = plain_candidates(q, idx, k)
+    assert idx.candidates(k) == cands, (k, str(q))
+    assert idx.candidate_bits(k) == bits, (k, str(q))
+
+
+def test_candidates_match_plain_build():
+    """The level-by-level masks and the bitsets built by recurrence equal
+    the per-combination build, constants (variable-free atoms) included."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([3, 6, 9]),
+            max_vars=rng.choice([4, 7]),
+            max_arity=rng.choice([1, 2, 3]),
+            consts=["a", "b"],
+        )
+        for k in range(1, 6):
+            assert_bulk_build_is_plain(q, k)
+
+
+def test_candidates_beyond_the_atom_count():
+    for text in ("ans <- r(X).", "ans <- r(X,Y), s(Y,Z), t(Z,X)."):
+        for k in range(1, 7):
+            assert_bulk_build_is_plain(parse_query(text), k)
+    # sizes above the atom count add nothing and cost nothing
+    idx = _Index(parse_query("ans <- r(X,Y), s(Y,Z), t(Z,X)."))
+    assert idx.candidates(10**6) == idx.candidates(3)
+    assert idx.candidate_bits(10**6) == idx.candidate_bits(3)
+
+
+def test_candidates_skip_variable_free_atoms():
+    q = parse_query("ans <- g, r(X,Y), h(a), s(Y,Z), t(Z,X), u(b,c), w(X).")
+    idx = _Index(q)
+    assert idx.var_atoms == [1, 3, 4, 6]
+    for k in range(1, 6):
+        assert_bulk_build_is_plain(q, k)
+    assert len(idx.candidates(4)) == 15
+    # at k=2: (1) (3) (4) (6) (1,3) (1,4) (1,6) (3,4) (3,6) (4,6)
+    assert idx.candidate_bits(2)[6] == sum(1 << p for p in (3, 6, 8, 9))

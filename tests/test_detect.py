@@ -61,6 +61,13 @@ def test_decompose_rejects_bad_k(q1):
         decompose(q1, 0)
 
 
+@pytest.mark.parametrize("text", ["ans <- r(X,Y), s(Y,Z).", "ans <- g.", "ans <- ."])
+def test_hypertree_width_rejects_bound_below_one(text):
+    for k_max in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            hypertree_width(parse_query(text), k_max)
+
+
 def test_decompose_empty_body():
     q = parse_query("ans <- .")
     h = decompose(q, 1)

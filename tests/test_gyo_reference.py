@@ -113,12 +113,18 @@ def best_time(f, q, repeats):
 @pytest.mark.slow
 @pytest.mark.parametrize("family", ["path", "star", "tree"])
 def test_scaling(family):
-    """Doubling n at most triples gyo_acyclic's time (best of 5).  The
-    ratio for decompose(., 1) is printed only; run with -s to see it."""
+    """Doubling n at most triples gyo_acyclic's time (best of 5).  It is
+    timed at n = 4,000 and 8,000, where each time is tens of milliseconds:
+    at n = 500 a time of a few milliseconds let scheduler noise alone push
+    the ratio past 3.  The ratio for decompose(., 1) at n = 500 and 1,000 is
+    printed only; run with -s to see it."""
+    n = 4000
+    g1 = util.family_query(family, n, random.Random(1))
+    g2 = util.family_query(family, 2 * n, random.Random(2))
+    gyo = best_time(gyo_acyclic, g2, 5) / best_time(gyo_acyclic, g1, 5)
     n = 500
     q1 = util.family_query(family, n, random.Random(1))
     q2 = util.family_query(family, 2 * n, random.Random(2))
-    gyo = best_time(gyo_acyclic, q2, 5) / best_time(gyo_acyclic, q1, 5)
     t1 = best_time(lambda q: decompose(q, 1), q1, 1)
     t2 = best_time(lambda q: decompose(q, 1), q2, 1)
     print(
