@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import and_, attrgetter, itemgetter
 from typing import Collection, Iterable, Iterator, Optional
 
 from .detect import hypertree_width
 from .errors import DatabaseFormatError, InconclusiveError
 from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd
-from .model import Atom, ConjunctiveQuery, Database, variable
+from .model import Atom, ConjunctiveQuery, Database, format_constant, variable
 
 Schema = tuple[str, ...]
 Rows = Collection[tuple[str, ...]]
@@ -73,22 +73,6 @@ def _atom_rows(a: Atom, db: Database) -> tuple[Schema, Rows]:
         else:
             rows.add(tuple(env[x] for x in schema))
     return schema, rows
-
-
-def _join(s1: Schema, r1: Rows, s2: Schema, r2: Rows) -> tuple[Schema, Rows]:
-    shared = [x for x in s1 if x in s2]
-    extra = tuple(x for x in s2 if x not in s1)
-    if not extra:
-        return s1, _semijoin(s1, r1, s2, r2)
-    index: dict[object, list[tuple]] = {}
-    for key, ext in zip(_keys(s2, shared, r2), _pick(s2, extra, r2)):
-        index.setdefault(key, []).append(ext)
-    out: set[tuple[str, ...]] = set()
-    for row, key in zip(r1, _keys(s1, shared, r1)):
-        match = index.get(key)
-        if match:
-            out.update(map(row.__add__, match))
-    return s1 + extra, out
 
 
 def _semijoin(s1: Schema, r1: Rows, s2: Schema, r2: Rows) -> Rows:
@@ -164,21 +148,46 @@ def _vertex_tables(
                     scans[scan] = _atom_rows(a, db)
                 parts_of[scan, overlap] = _project(*scans[scan], overlap)
             parts.append(parts_of[scan, overlap])
-        schema, rows = _join_connected(parts)
+        schema, rows = _generic_join(parts)
         chi = tuple(sorted(v.chi))
         out[v.id] = _project(schema, rows, chi) if rows else (chi, set())
     return out
 
 
-def _join_connected(parts: list[tuple[Schema, Rows]]) -> tuple[Schema, Rows]:
-    """Join smallest first, always taking the smallest part that shares a
-    variable with the table so far while one is left; stop once empty."""
+def _generic_join(parts: list[tuple[Schema, Rows]]) -> tuple[Schema, Rows]:
+    """Generic Join (Ngo, Porat, Re, Rudra, PODS 2012), within the AGM bound
+    of the parts: from the smallest part, bind one variable x at a time, from
+    the smallest part meeting the bound ones (else the smallest: a product).
+    Each part holding x maps its bound columns to its x values, and each row
+    takes the intersection of its sets (each & walks the smaller).  A part
+    whose columns are all bound is applied as a semijoin; stop once empty."""
     parts = sorted(parts, key=lambda p: len(p[1]))
     schema, rows = parts.pop(0) if parts else ((), {()})
     while parts and rows:
         cols = set(schema)
-        i = next((i for i, (s, _) in enumerate(parts) if cols.intersection(s)), 0)
-        schema, rows = _join(schema, rows, *parts.pop(i))
+        full = next((p for p in parts if cols.issuperset(p[0])), None)
+        if full:
+            rows = _semijoin(schema, rows, *full)
+            parts = [p for p in parts if p is not full]
+            continue
+        first = next((s for s, _ in parts if cols.intersection(s)), parts[0][0])
+        x = next(y for y in first if y not in cols)
+        allowed = []  # per part holding x: each row's x values, as 1-tuples
+        for s, r in parts:
+            if x in s:
+                bound = [y for y in s if y in cols]
+                index: dict[object, set] = {}
+                for key, val in zip(_keys(s, bound, r), _pick(s, (x,), r)):
+                    index.setdefault(key, set()).add(val)
+                keys = _keys(schema, bound, rows)
+                allowed.append(map(index.get, keys, repeat(frozenset())))
+        exts = reduce(lambda a, b: map(and_, a, b), allowed)
+        # row + (v,) for each row and each of its x values, in one C-level pass
+        adders = map(attrgetter("__add__"), rows)
+        rows = list(chain.from_iterable(map(map, adders, exts)))
+        schema += (x,)
+        cols.add(x)
+        parts = [p for p in parts if not cols.issuperset(p[0])]
     return schema, rows
 
 
@@ -363,7 +372,7 @@ def format_answers(q: ConjunctiveQuery, rows: list[tuple[str, ...]]) -> str:
     lines = []
     for row in rows:
         if row:
-            lines.append(f"{q.head.relation}({','.join(row)}).")
+            lines.append(f"{q.head.relation}({','.join(map(format_constant, row))}).")
         else:
             lines.append(f"{q.head.relation}.")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -28,9 +28,12 @@ class Term:
         return self.kind == "variable"
 
     def __str__(self) -> str:
-        if self.kind == "constant" and not _NAME_RE.fullmatch(self.name):
-            return "'" + self.name + "'"
-        return self.name
+        return format_constant(self.name) if self.kind == "constant" else self.name
+
+
+def format_constant(name: str) -> str:
+    """A constant as the parser reads it back: quoted unless a plain name."""
+    return name if _NAME_RE.fullmatch(name) else "'" + name + "'"
 
 
 def variable(name: str) -> Term:

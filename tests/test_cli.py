@@ -324,6 +324,14 @@ def test_eval_full(files, capsys):
     assert capsys.readouterr().out.strip() == "ans(sue,db)."
 
 
+def test_eval_output_quotes_constants(files, capsys):
+    _, put = files
+    q = put("q.txt", "ans(X,Y) <- r(X,Y).")
+    db = put("db.txt", "r('a b','c,d'). r('X', e).")
+    assert run(["eval", q, db]) == 0
+    assert capsys.readouterr().out == "ans('X',e).\nans('a b','c,d').\n"
+
+
 def test_eval_with_hd_file(files, capsys):
     tmp, put = files
     q = put("q.txt", Q1_TEXT)

@@ -35,11 +35,7 @@ from htd.hypertree import (
 )
 
 import util
-
-
-def trivial_hd(q):
-    va = frozenset(i for i, a in enumerate(q.body) if a.variables())
-    return Hypertree([HtVertex(0, None, q.variables(), va)])
+from util import trivial_hd
 
 
 # --- hypertree validator ---------------------------------------------------

@@ -27,13 +27,9 @@ from htd import evaluate
 from htd.hypertree import Hypertree, HtVertex
 
 import util
+from util import trivial_hd
 
 CONSTS = ["a", "b", "c", "d"]
-
-
-def trivial_hd(q):
-    va = frozenset(i for i, a in enumerate(q.body) if a.variables())
-    return Hypertree([HtVertex(0, None, q.variables(), va)])
 
 
 DB1 = parse_database(
@@ -219,6 +215,16 @@ def test_format_answers():
     assert format_answers(qb, []) == ""
 
 
+def test_format_answers_round_trips_through_parse_database():
+    # constants that are not plain names come back only if quoted
+    q = parse_query("ans(X,Y) <- r(X,Y).")
+    db = parse_database("r('a b','c,d'). r('X', e). r('', '%x'). r(a_1,'1.5').")
+    rows = eval_full(q, db)
+    text = format_answers(q, rows)
+    assert "ans('X',e).\n" in text
+    assert parse_database(text).tuples("ans") == set(rows) == db.tuples("r")
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**9))
 def test_eval_matches_brute_force(seed):
@@ -332,3 +338,24 @@ def test_eval_full_builds_no_extensions_for_dangling_rows(monkeypatch):
     )
     assert eval_full(q, db, hd=hd) == brute_force_eval(q, db)
     assert sum(built) == m * m
+
+
+def test_triangle_vertex_join_reads_no_pairwise_join(monkeypatch):
+    # r sends each of m values xi to y, s sends y to each of m values zj, and
+    # t pairs zi with xi: r join s has m * m rows, the triangles number m.
+    # Every table the vertex join builds is keyed before it is used, so the
+    # rows handed to _keys bound the rows it builds; joining r with s first
+    # would hand it the m * m rows
+    m = 100
+    q = parse_query("ans(X,Y,Z) <- r(X,Y), s(Y,Z), t(Z,X).")
+    hd = Hypertree([HtVertex(0, None, frozenset("XYZ"), frozenset({0, 1}))])
+    facts = [f"r(x{i},y). s(y,z{i}). t(z{i},x{i})." for i in range(m)]
+    db = parse_database(" ".join(facts))
+    keyed = []
+    keys = evaluate._keys
+    monkeypatch.setattr(
+        evaluate, "_keys", lambda s, c, r: keyed.append(len(r)) or keys(s, c, r)
+    )
+    [(_, rows)] = evaluate._vertex_tables(q, hd, db).values()
+    assert len(rows) == m
+    assert sum(keyed) <= 8 * m

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from htd import Atom, ConjunctiveQuery, Database, constant, variable
+from htd.hypertree import Hypertree, HtVertex
 
 RELATIONS = ["r", "s", "t", "u", "w"]
 
@@ -45,6 +46,12 @@ def rand_query(
                 for v in rng.sample(bvars, rng.randint(0, min(2, len(bvars))))
             )
     return ConjunctiveQuery(Atom("ans", head_args), tuple(body))
+
+
+def trivial_hd(q: ConjunctiveQuery) -> Hypertree:
+    """One vertex over all variables, labeled with every atom that has any."""
+    va = frozenset(i for i, a in enumerate(q.body) if a.variables())
+    return Hypertree([HtVertex(0, None, q.variables(), va)])
 
 
 def rand_db(
