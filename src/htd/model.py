@@ -1,9 +1,9 @@
 """Query and database model plus the text front-end.
 
 Queries are datalog-style rules ``ans(X) <- r(X,Y), s(Y).``; fact files are
-one ground atom per line.  Variables start with an uppercase letter,
-constants are lowercase/digit identifiers or single-quoted text, and ``%``
-starts a line comment.
+ground atoms ``r(a,b).`` separated by whitespace or comments.  Variables
+start with an uppercase letter, constants are lowercase/digit identifiers or
+single-quoted text, and ``%`` starts a line comment.
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Whitespace and comments, then a plain ground fact, one other character (which
+# sends the text to the token path) or the end: the matches tile the text.
+_FACT_RE = re.compile(
+    rf"(?:[ \t\r\n]|%[^\n]*)*(?:({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?\.|(.)|\Z)"
+)
+
+
 class _Parser:
     """Recursive descent over (kind, text, offset) tokens, where kind is a
     group name of _TOKEN_RE, the text itself for punctuation, or "end", so
@@ -227,7 +234,20 @@ def print_query(q: ConjunctiveQuery) -> str:
 
 
 def parse_database(text: str) -> Database:
-    """Parse a fact file (one ground atom per line) into a Database."""
+    """Parse a fact file (ground atoms separated by whitespace or comments)
+    into a Database.  A text of plain facts takes one regex pass; any other
+    text goes through the token parser, with the same result or error."""
+    facts: dict[str, set[tuple[str, ...]]] = {}
+    for name, args, other in _FACT_RE.findall(text):
+        if other:
+            break
+        if name:
+            facts.setdefault(name, set()).add(tuple(args.split(",")) if args else ())
+    else:  # only facts; an arity mismatch also goes to the token path
+        lengths = {r: set(map(len, ts)) for r, ts in facts.items()}
+        if all(len(n) == 1 for n in lengths.values()):
+            arities = {r: n.pop() for r, n in lengths.items()}
+            return Database({r: frozenset(ts) for r, ts in facts.items()}, arities)
     relations: dict[str, set[tuple[str, ...]]] = {}
     arities: dict[str, int] = {}
     p = _Parser(text)

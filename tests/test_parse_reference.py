@@ -8,6 +8,11 @@ a comment, nor the line inside a quoted constant.  The reference also took a
 quoted constant spelling punctuation, such as ``'.'``, for that punctuation;
 where the outcomes differ, the text must hold such a constant and the new
 parser must reject it.
+
+``parse_database`` reads a text of plain facts in one regex pass.  It is
+also checked against its token path alone, over seeded fact files that mix
+plain facts with every other kind of text: the two must give the same
+database, or the same error type, message, line and column.
 """
 
 import random
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from htd import model
 from htd import (
     Atom,
     ConjunctiveQuery,
@@ -24,6 +30,7 @@ from htd import (
     QuerySyntaxError,
     Term,
     constant,
+    format_answers,
     parse_database,
     parse_query,
     variable,
@@ -184,6 +191,35 @@ def ref_parse_database(text: str) -> Database:
     return Database({r: frozenset(ts) for r, ts in relations.items()}, arities)
 
 
+# ---------------------------------------------------------------------------
+# reference: parse_database's token path alone, verbatim
+
+
+def token_parse_database(text: str) -> Database:
+    """parse_database as it was before the regex pass: the token path."""
+    relations: dict[str, set[tuple[str, ...]]] = {}
+    arities: dict[str, int] = {}
+    p = model._Parser(text)
+    while p.peek()[0] != "end":
+        atom = p.atom()
+        p.expect(".")
+        row = []
+        for t in atom.args:
+            if t.is_variable:
+                raise DatabaseFormatError(
+                    f"non-ground term {t.name} in fact {atom.relation}"
+                )
+            row.append(t.name)
+        arity = len(row)
+        if atom.relation in arities and arities[atom.relation] != arity:
+            raise DatabaseFormatError(
+                f"arity mismatch for relation {atom.relation}: "
+                f"{arities[atom.relation]} vs {arity}"
+            )
+        arities[atom.relation] = arity
+        relations.setdefault(atom.relation, set()).add(tuple(row))
+    return Database({r: frozenset(ts) for r, ts in relations.items()}, arities)
+
 
 # ---------------------------------------------------------------------------
 # seeded mutations
@@ -294,3 +330,137 @@ def test_exemption_covers_the_reference_bugs():
         assert quotes_punctuation(text)
         assert outcome(parse, text)[0] is QuerySyntaxError
     assert ref_parse_query("ans '<-' r(X).") == parse_query("ans <- r(X).")
+
+
+# ---------------------------------------------------------------------------
+# parse_database's regex pass against its token path alone
+
+CONSTANTS = ("a", "b1", "c_d", "0x", "n9Z")
+
+
+def plain_fact(rng: random.Random) -> str:
+    rel = rng.choice("prst")
+    arity = "prst".index(rel)
+    if rng.random() < 0.05:  # an arity mismatch
+        arity = rng.choice((0, 1, 2, 3, 4))
+    args = ",".join(rng.choice(CONSTANTS) for _ in range(arity))
+    return f"{rel}({args})." if arity else f"{rel}."
+
+
+OTHER_PIECES = (
+    "r('x y').",
+    "s(',',a).",
+    "t('.',a,'').",
+    "r('it''s').",
+    "s( a , b ).",
+    "t (a,b,c) .",
+    "r(X).",
+    "s(a,Y').",
+    "t().",
+    "r(a,%c\nb).",
+    "r('é').",
+    "é(a).",
+    "s(a,b)",
+    "r(a",
+    "(",
+    ")",
+    ".",
+    ",",
+    "<-",
+    "'",
+    "?",
+)
+SEPARATORS = ("\n", "\r\n", " ", "", "\t", "\n\n", "% note\n", " %é\r\n")
+ENDINGS = ("", "\n", "\r\n", "% end", "\n% end", "%", " \t")
+
+
+def fact_file(rng: random.Random) -> str:
+    """Plain facts between separators; in every second text, also pieces of
+    any other kind."""
+    mixed = rng.random() < 0.5
+    parts = [rng.choice(SEPARATORS) if rng.random() < 0.3 else ""]
+    for _ in range(rng.randint(0, 12)):
+        if mixed and rng.random() < 0.2:
+            parts.append(rng.choice(OTHER_PIECES))
+        else:
+            parts.append(plain_fact(rng))
+        parts.append(rng.choice(SEPARATORS))
+    parts[-1] = rng.choice(ENDINGS)
+    return "".join(parts)
+
+
+def check_fact_files(n: int, seed: int) -> set[str]:
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(n):
+        text = fact_file(rng)
+        want = outcome(token_parse_database, text)
+        assert outcome(parse_database, text) == want, text
+        seen.add(want[1].split(" ")[0] if isinstance(want, tuple) else "database")
+    return seen
+
+
+def test_regex_pass_matches_token_path():
+    seen = check_fact_files(3000, seed=0)
+    assert {"database", "unterminated", "unexpected", "expected"} <= seen
+    assert {"non-ground", "arity"} <= seen
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_regex_pass_matches_token_path_slow(seed):
+    check_fact_files(20_000, seed)
+
+
+def _no_token_path(text):
+    raise AssertionError("the token path ran on a file of plain facts")
+
+
+def test_plain_files_take_the_regex_pass(monkeypatch):
+    rows = [("a", "b1"), ("0x", "c_d"), ("n9Z", "n9Z")]
+    answers = format_answers(parse_query("ans(X,Y) <- r(X,Y)."), rows)
+    files = (
+        "r(a,b). s(c).\n% between facts\nr(b,c).\n",
+        "r(a,b).\ns(c). % a trailing comment, no final newline",
+        "r(a,b).\r\ns(c).\r\n% crlf\r\nt.\r\n",
+        "t. u.\nt.",
+        "%only a comment",
+        "",
+        answers,
+    )
+    want = [token_parse_database(text) for text in files]
+    monkeypatch.setattr(model, "_Parser", _no_token_path)
+    assert [parse_database(text) for text in files] == want
+    assert parse_database(answers).tuples("ans") == set(rows)
+
+
+def test_one_quoted_constant_takes_the_token_path(monkeypatch):
+    built = []
+
+    class Counting(model._Parser):
+        def __init__(self, text):
+            built.append(text)
+            super().__init__(text)
+
+    text = "r(a,b).\nr(c,'d e').\ns(f).\n"
+    want = token_parse_database(text)
+    monkeypatch.setattr(model, "_Parser", Counting)
+    assert parse_database(text) == want
+    assert built == [text]
+    assert want.tuples("r") == {("a", "b"), ("c", "d e")}
+
+
+@pytest.mark.slow
+def test_baseline_database_same_on_both_paths():
+    # r, s, t, u: 18k distinct pairs each over 300 constants
+    rng = random.Random(2024)
+    lines = []
+    for rel in "rstu":
+        rows: set = set()
+        while len(rows) < 18_000:
+            rows.add((f"c{rng.randrange(300)}", f"c{rng.randrange(300)}"))
+        lines += [f"{rel}({a},{b})." for a, b in sorted(rows)]
+    text = "\n".join(lines) + "\n"
+    db = parse_database(text)
+    assert db == token_parse_database(text)
+    assert {r: len(ts) for r, ts in db.relations.items()} == dict.fromkeys("rstu", 18_000)
