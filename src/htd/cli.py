@@ -113,7 +113,7 @@ def _answer(q, rows, boolean: bool) -> int:
     if boolean:
         print("true" if rows else "false")
     else:
-        sys.stdout.write(evaluate.format_answers(q, rows))
+        sys.stdout.writelines(evaluate.answer_lines(q, rows))
     return EXIT_OK if rows else EXIT_NO
 
 

@@ -4,7 +4,8 @@ A width-k decomposition turns the query into an acyclic one: each vertex gets
 the join of its labeled atoms, and of every atom whose variables it covers,
 projected to the vertex variables.  The tree is then processed with semijoin
 passes (bottom-up for the Boolean answer; for full answers both directions,
-then one factorized upward pass that builds answer rows only at the root).
+then one factorized upward pass that builds answer rows only at the root,
+in sorted order, as products of sorted lists).
 ``brute_force_eval`` is an independent backtracking evaluator, the oracle.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
-from operator import and_, attrgetter, itemgetter
+from itertools import chain, compress, product, repeat, starmap
+from operator import and_, attrgetter, getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Optional
 
 from .detect import hypertree_width
@@ -253,11 +254,13 @@ def eval_full(
     rels = _vertex_tables(q, hd, db)
     _reduce(hd, rels, down=True)
     cols, rows = _extend_up(hd, rels, head)
-    # constants sit after the answer columns, named by their head position
+    # constants sit after the answer columns, named by their head position;
+    # they and repeated columns keep rows sorted, a permuted head does not
     slots = cols + tuple(i for i, t in enumerate(q.head.args) if not t.is_variable)
     want = tuple(t.name if t.is_variable else i for i, t in enumerate(q.head.args))
     rows = [row + head_consts for row in rows] if head_consts else rows
-    return sorted(rows if want == slots else _pick(slots, want, rows))
+    rows = rows if want == slots else list(_pick(slots, want, rows))
+    return rows if cols == head else sorted(rows)
 
 
 def _reduce(hd: Hypertree, rels: dict, down: bool) -> None:
@@ -278,13 +281,15 @@ def _reduce(hd: Hypertree, rels: dict, down: bool) -> None:
 def _extend_up(
     hd: Hypertree, rels: dict, head: Schema
 ) -> tuple[Schema, list[tuple[str, ...]]]:
-    """The answers over fully reduced vertex tables, factorized (Olteanu and
-    Zavodny, TODS 2015): each vertex below the root hands its parent a map
-    from its key on chi(v) & chi(parent) to the set of its extensions: its
-    own head variables (those outside chi(parent), in head order), then the
-    extensions of the children that carry any; by HD2 each head variable has
-    one owner.  Answer rows are built only at the root, which emits its
-    groups and their extensions in order, so the rows come out sorted."""
+    """The answers over fully reduced vertex tables, sorted, factorized
+    (Olteanu and Zavodny, TODS 2015): each vertex below the root hands its
+    parent a map from its key on chi(v) & chi(parent) to the set of its
+    extensions (bare values if one column): its own head variables (those
+    outside chi(parent), in head order), then the extensions of the children
+    that carry any; by HD2 each head variable has one owner.  Rows are built
+    only at the root, group by group in order: a group meeting one key per
+    child is the product of its own values and each child's sorted list
+    there, sorted and duplicate-free; else the sorted union of products."""
     done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
     for vid in reversed(hd.preorder()):
         schema, rows = rels[vid]
@@ -295,41 +300,61 @@ def _extend_up(
         kids.sort(key=lambda kid: head.index(kid[0][0]))  # toward head order
         cols = own + tuple(x for kid in kids for x in kid[0])
         conn = tuple(x for x in schema if x in above)
-        pairs = zip(_keys(schema, conn, rows), _pick(schema, own, rows))
+        keys = _keys(schema, conn, rows)
         table: dict = {}
         if not kids:
             if p is None:
                 return cols, sorted(_project(schema, rows, own)[1])
-            for key, o in pairs if cols else ():
+            for key, o in zip(keys, _keys(schema, own, rows)) if cols else ():
                 table.setdefault(key, set()).add(o)
         else:
-            # (key, own values) -> the children's keys met with them
+            # (key, own values), or own values at the root -> children's keys met
             groups: dict[tuple, set] = {}
             one = len(kids) == 1  # then a child's key stands alone
+            pairs = _pick(schema, own, rows)
             at_of = [_keys(schema, kid[1], rows) for kid in kids]
-            for pair, at in set(zip(pairs, at_of[0] if one else zip(*at_of))):
+            for pair, at in set(zip(pairs if p is None else zip(keys, pairs),
+                                    at_of[0] if one else zip(*at_of))):
                 groups.setdefault(pair, set()).add(at)
-            ext_of = kids[0][2] if one else {  # the product of the children's sets
-                at: reduce(_times, [kid[2][x] for kid, x in zip(kids, at)])
-                for at in set().union(*groups.values())
+            tables = [kid[2] for kid in kids]
+            widths = [1] * len(own) + [len(kid[0]) for kid in kids]
+            joined = widths[: len(own)] + [len(cols) - len(own)]
+            alone = p is None and not one  # root groups meeting one key: no union
+            unions = [ats for ats in groups.values() if not alone or len(ats) > 1]
+            ext_of = tables[0] if one else {  # the product of the children's sets
+                at: set(_product(list(map(getitem, tables, at)), widths[len(own):]))
+                for at in set().union(*unions)
             }
-            if p is None:  # each group's extensions sorted once per set of child keys
-                answers, seen = [], {}
-                for (_, o), ats in sorted(groups.items()):
-                    ats = frozenset(ats)
-                    if ats not in seen:
-                        seen[ats] = sorted(set().union(*map(ext_of.__getitem__, ats)))
-                    answers.extend(map(o.__add__, seen[ats]))
-                return cols, answers
+            if p is None:  # each list sorted once, per (child, key) or set of keys
+                lists = [{k: sorted(e) for k, e in t.items()} for t in tables if alone]
+                merged = {s: sorted(set().union(*map(ext_of.__getitem__, s)))
+                          for s in set(map(frozenset, unions))}
+                order = sorted(groups)
+                parts = (
+                    ([*zip(o), *map(getitem, lists, [*ats][0])], widths)
+                    if alone and len(ats) == 1
+                    else ([*zip(o), merged[frozenset(ats)]], joined)
+                    for o, ats in zip(order, map(groups.__getitem__, order))
+                )
+                return cols, list(chain.from_iterable(starmap(_product, parts)))
             for (key, o), ats in groups.items():
                 exts = set().union(*map(ext_of.__getitem__, ats))
-                table.setdefault(key, set()).update(map(o.__add__, exts) if o else exts)
+                table.setdefault(key, set()).update(
+                    _product([*zip(o), exts], joined) if o else exts
+                )
         done[vid] = cols, conn, table
     return (), []
 
 
-def _times(left: set, right: set) -> set:
-    return {x + y for x in left for y in right}
+def _product(factors: list, widths: list[int]) -> Iterable[tuple]:
+    """The product of factors as flat tuples, in order; a factor of width 1
+    holds bare values, a wider one tuples, and a wide one alone is kept."""
+    if max(widths) == 1:
+        return product(*factors)
+    if len(factors) == 1:
+        return factors[0]
+    wrapped = [f if w > 1 else zip(f) for f, w in zip(factors, widths)]
+    return map(sum, product(*wrapped), repeat(()))
 
 
 def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]:
@@ -367,12 +392,13 @@ def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]
     return sorted(answers)
 
 
+def answer_lines(q: ConjunctiveQuery, rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """Each answer as a line ``ans(c1,...,cn).`` using the head relation."""
+    rel = q.head.relation
+    for row in rows:
+        yield f"{rel}({','.join(map(format_constant, row))}).\n" if row else f"{rel}.\n"
+
+
 def format_answers(q: ConjunctiveQuery, rows: list[tuple[str, ...]]) -> str:
     """One line per answer: ``ans(c1,...,cn).`` using the head relation."""
-    lines = []
-    for row in rows:
-        if row:
-            lines.append(f"{q.head.relation}({','.join(map(format_constant, row))}).")
-        else:
-            lines.append(f"{q.head.relation}.")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(answer_lines(q, rows))

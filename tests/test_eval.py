@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from htd import (
     variable,
 )
 from htd import evaluate
-from htd.hypertree import Hypertree, HtVertex
+from htd.hypertree import Hypertree, HtVertex, validate_hd
 
 import util
 from util import trivial_hd
@@ -314,7 +315,9 @@ def test_eval_full_builds_no_extensions_for_dangling_rows(monkeypatch):
     # give each yi m values; t keeps only x0.  The full reducer, up then
     # down, leaves s one row, so the product of a's and b's extension sets is
     # built once: m * m tuples, the output, not n * m * m as when s keeps
-    # rows whose key the reduced root lacks
+    # rows whose key the reduced root lacks.  Every extension tuple comes
+    # from an itertools.product call in evaluate; the root, whose one child
+    # carries both head columns, passes that child's tuples through
     n, m = 40, 5
     q = parse_query("ans(A,C) <- p(X,Z), t(X,W), s(X,Y), a(Y,A), b(Y,C).")
     hd = Hypertree(
@@ -332,10 +335,14 @@ def test_eval_full_builds_no_extensions_for_dangling_rows(monkeypatch):
         facts += [f"a(y{i},a{j}). b(y{i},c{j})." for j in range(m)]
     db = parse_database(" ".join(facts))
     built = []
-    times = evaluate._times
-    monkeypatch.setattr(
-        evaluate, "_times", lambda l, r: built.append(len(l) * len(r)) or times(l, r)
-    )
+    product = evaluate.product
+
+    def counted(*factors):
+        factors = [list(f) for f in factors]
+        built.append(math.prod(map(len, factors)))
+        return product(*factors)
+
+    monkeypatch.setattr(evaluate, "product", counted)
     assert eval_full(q, db, hd=hd) == brute_force_eval(q, db)
     assert sum(built) == m * m
 
@@ -359,3 +366,64 @@ def test_triangle_vertex_join_reads_no_pairwise_join(monkeypatch):
     [(_, rows)] = evaluate._vertex_tables(q, hd, db).values()
     assert len(rows) == m
     assert sum(keyed) <= 8 * m
+
+
+STAR = [(0, None, "AB", {0}), (1, 0, "AC", {1}), (2, 0, "AD", {2})]
+ONE_CHILD = [(0, None, "AB", {0}), (1, 0, "BE", {1})]
+
+# (query, vertices as (id, parent, chi, lambda)): one per way the root of
+# eval_full's upward pass builds its rows, and per head order after it
+ROOT_SHAPES = {
+    # each root group meets one key per child: own values times two sorted
+    # lists of one column
+    "star": ("ans(A,B,C,D) <- r(A,B), s(A,C), u(A,D).", STAR),
+    # a root group meets several keys of its one child: their sorted union
+    "chain": (
+        "ans(A,E) <- r(A,B), s(B,C), t(C,D), u(D,E).",
+        [(0, None, "AB", {0}), (1, 0, "BC", {1}), (2, 1, "CD", {2}), (3, 2, "DE", {3})],
+    ),
+    # ... of two children: the sorted union of their products
+    "fork": (
+        "ans(A,C,D) <- r(A,X), s(X,C), u(X,D).",
+        [(0, None, "AX", {0}), (1, 0, "XC", {1}), (2, 0, "XD", {2})],
+    ),
+    # a two-column child beside a one-column one: the flattened product
+    "wide": (
+        "ans(A,X,B,C,D) <- r(A,X), s(X,B), t(B,C), u(X,D).",
+        [(0, None, "AX", {0}), (1, 0, "XB", {1}), (2, 1, "BC", {2}), (3, 0, "XD", {3})],
+    ),
+    # one-column answers, from the root's one child or from the root alone
+    "one_column_child": ("ans(E) <- r(A,B), s(B,E).", ONE_CHILD),
+    "one_column_root": ("ans(A) <- r(A,B), s(B,E).", ONE_CHILD),
+    # head variables in another order than the root's columns: sorted again
+    "permuted": ("ans(D,A,C,B) <- r(A,B), s(A,C), u(A,D).", STAR),
+    # a constant and a repeated variable leave the order as it is
+    "constant_and_repeat": ("ans(A,k,C,A,D) <- r(A,B), s(A,C), u(A,D).", STAR),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ROOT_SHAPES))
+def test_eval_full_root_shapes_match_brute_force(shape):
+    text, vertices = ROOT_SHAPES[shape]
+    q = parse_query(text)
+    hd = Hypertree(
+        HtVertex(vid, parent, frozenset(chi), frozenset(lam))
+        for vid, parent, chi, lam in vertices
+    )
+    assert validate_hd(q, hd).valid
+    answered = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        db = Database(
+            {
+                rel: frozenset(
+                    (rng.choice(CONSTS), rng.choice(CONSTS)) for _ in range(10)
+                )
+                for rel in "rstu"
+            },
+            dict.fromkeys("rstu", 2),
+        )
+        expect = brute_force_eval(q, db)
+        assert eval_full(q, db, hd=hd) == expect
+        answered += bool(expect)
+    assert answered > 20

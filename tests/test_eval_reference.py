@@ -11,14 +11,23 @@ down, is this file's own copy, independent of ``evaluate._reduce``.
 The queries cover branching trees whose children both carry head variables
 (the product of their extension sets), permuted and repeated head
 variables, head constants, and cycles of width 2.  Each decomposition is
-also tried re-rooted at every vertex where it stays valid.
+also tried re-rooted at every vertex where it stays valid.  The ``slow``
+block adds the benchmark's star and chain at its scale, 900 facts a relation.
 """
 
 import random
 
 import pytest
 
-from htd import Atom, ConjunctiveQuery, Database, constant, eval_full, variable
+from htd import (
+    Atom,
+    ConjunctiveQuery,
+    Database,
+    constant,
+    eval_full,
+    parse_query,
+    variable,
+)
 from htd.detect import hypertree_width
 from htd.errors import InvalidDecompositionError
 from htd.evaluate import (
@@ -196,3 +205,28 @@ def test_reference_agrees():
 def test_reference_agrees_slow(block):
     for seed in range(1000 + 200 * block, 1200 + 200 * block):
         _check(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ans(A,B,C,D) <- r(A,B), s(A,C), u(A,D).",
+        "ans(A,E) <- r(A,B), s(B,C), t(C,D), u(D,E).",
+    ],
+)
+def test_reference_agrees_at_benchmark_scale(text):
+    # the benchmark's star and chain over its r, s, t, u: 900 distinct pairs
+    # each over 150 constants; about 32,000 and 22,000 answers
+    rng = random.Random(20)
+    relations = {}
+    for rel in RELATIONS:
+        rows = set()
+        while len(rows) < 900:
+            rows.add((f"c{rng.randrange(150)}", f"c{rng.randrange(150)}"))
+        relations[rel] = frozenset(rows)
+    db = Database(relations, dict.fromkeys(RELATIONS, 2))
+    q = parse_query(text)
+    expect = reference_eval_full(q, db)
+    assert len(expect) > 10_000
+    assert eval_full(q, db) == expect
