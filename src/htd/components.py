@@ -5,9 +5,12 @@ contains both outside V; components are the maximal connected variable sets
 of that graph.  Every variable outside V that occurs in some atom counts as
 connected to itself (the degenerate single-variable path).
 
-Components are computed in one place, ``_Index``: a bitmask view of the
-query that the width search (which ``normalize_hd`` also runs) and the
-normal-form validator share, and that ``v_components`` wraps.
+Components are computed in one place, ``_Index.pieces``: the connected
+pieces of a variable mask, each atom restricted to it.  ``_Index`` is a
+bitmask view of the query that the width search (which ``normalize_hd``
+also runs) and the normal-form validator share, and that ``v_components``
+wraps; the search splits a separator only inside the component it
+searches.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ class Component:
 class _Index:
     """Bitmask view of a query: one bit per variable, in sorted order.
 
-    Components are cached per separator mask, so one index serves every
-    separator a caller asks about.
+    ``pieces(free)`` is the one merge loop.  ``components(sep)`` is the
+    pieces of the complement of sep, cached per separator mask, so one
+    index serves every separator a caller asks about.
     """
 
     def __init__(self, q: ConjunctiveQuery):
@@ -72,9 +76,19 @@ class _Index:
     def components(self, sep: int) -> tuple[int, ...]:
         """Masks of the maximal [sep]-connected variable sets."""
         cached = self._comp_cache.get(sep)
-        if cached is not None:
-            return cached
-        edges = [m & ~sep for m in self._merge_order if m & ~sep]
+        if cached is None:
+            all_vars = (1 << len(self.vars)) - 1
+            cached = self._comp_cache[sep] = tuple(self.pieces(all_vars & ~sep))
+        return cached
+
+    def pieces(self, free: int) -> list[int]:
+        """Masks of the connected pieces of free, each atom restricted to
+        free, by least variable bit.
+
+        When free is a union of [V]-components for some V, these are exactly
+        those components; the width search passes such unions.
+        """
+        edges = [m & free for m in self._merge_order if m & free]
         comps: list[int] = []
         for e in edges:
             merged = e
@@ -87,9 +101,7 @@ class _Index:
             rest.append(merged)
             comps = rest
         comps.sort(key=lambda c: c & -c)  # by least variable bit
-        result = tuple(comps)
-        self._comp_cache[sep] = result
-        return result
+        return comps
 
     def atoms_of(self, comp: int) -> list[int]:
         return [i for i in self.var_atoms if self.atom_masks[i] & comp]

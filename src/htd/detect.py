@@ -51,6 +51,10 @@ class _Search:
     candidates, those that cover its border and meet its component, come
     from ANDing per-variable bitsets, and are tried in list order, so the
     first success is the same one a linear scan of the list would find.
+
+    A candidate var_s is split only inside the component of the state that
+    tries it.  ``_splits[var_s] = (known, comps)`` keeps the components
+    found so far, by least bit, and known: var_s and their variables.
     """
 
     def __init__(self, idx: _Index, cands: Candidates, atom_bits: dict[int, int]):
@@ -66,6 +70,7 @@ class _Search:
                 self.var_bits[x] = self.var_bits.get(x, 0) | bits
                 m ^= x
         self._adj: dict[int, tuple[int, int]] = {}
+        self._splits: dict[int, tuple[int, list[int]]] = {}
         self.memo: dict[tuple[int, int], object] = {}
 
     def adjacent(self, comp: int) -> tuple[int, int]:
@@ -108,8 +113,15 @@ class _Search:
             if seen in tried:
                 continue
             tried.add(seen)
+            known, subs = self._splits.get(var_s) or (var_s, [])
+            if comp & ~known:
+                # var_s covers the border, so comp - known is a union of
+                # [var_s]-components that are not known yet
+                new = self.idx.pieces(comp & ~known)
+                subs = sorted(subs + new, key=lambda c: c & -c)  # by least bit
+                self._splits[var_s] = (known | comp, subs)
             kids = []
-            for sub in self.idx.components(var_s):
+            for sub in subs:
                 if sub & comp:
                     w = yield sub, self.adjacent(sub)[0] & var_s
                     if w is None:

@@ -207,6 +207,32 @@ def test_index_on_5000_atom_path():
     assert idx.components(middle) == bfs_components(q, idx, middle)
 
 
+def test_pieces_match_bfs():
+    """pieces(free) on the complement of a separator gives its components;
+    on a union of some of them, just those; on 0, none."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([4, 8, 12]),
+            max_vars=rng.choice([6, 10, 14]),
+            max_arity=rng.choice([2, 3, 4]),
+        )
+        idx = _Index(q)
+        all_vars = (1 << len(idx.vars)) - 1
+        assert idx.pieces(0) == []
+        seps = {0, all_vars}
+        seps.update(rng.getrandbits(len(idx.vars)) for _ in range(6))
+        for sep in seps:
+            comps = list(bfs_components(q, idx, sep))
+            assert idx.pieces(all_vars & ~sep) == comps, (seed, sep)
+            some = [c for c in comps if rng.random() < 0.5]
+            union = 0
+            for c in some:
+                union |= c
+            assert idx.pieces(union) == some, (seed, sep, union)
+
+
 def plain_candidates(q, idx, k):
     """The candidate list and per-atom bitsets, one combination at a time."""
     cands, bits = [], {i: 0 for i in idx.var_atoms}
