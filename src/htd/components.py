@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
 from .model import Atom, ConjunctiveQuery
-
-# separator candidates: (atom indices, mask of their variables) pairs
-Candidates = list[tuple[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -106,15 +102,17 @@ class _Index:
     def atoms_of(self, comp: int) -> list[int]:
         return [i for i in self.var_atoms if self.atom_masks[i] & comp]
 
-    def candidates(self, k: int) -> Candidates:
-        """All separator candidates of size 1..k, lexicographic.
+    def candidates(self, k: int) -> list[int]:
+        """Variable masks of all separator candidates, the sets of 1..k atoms
+        with variables, by size and then lexicographic; ``candidate_atoms(p)``
+        gives the atoms of candidate p.
 
         The s-sets that start at position lo are lo followed by each
         (s-1)-set of lo+1..n-1, the last C(n-lo-1, s-1) sets of size s-1, so
         each size's masks extend the size below.
         """
         masks = level = [self.atom_masks[i] for i in self.var_atoms]
-        out: Candidates = []
+        out: list[int] = []
         for size in range(1, min(k, len(masks)) + 1):
             if size > 1:
                 level = [
@@ -122,8 +120,38 @@ class _Index:
                     for lo, a in enumerate(masks)
                     for m in level[len(level) - comb(len(masks) - lo - 1, size - 1) :]
                 ]
-            out += zip(combinations(self.var_atoms, size), level)
+            out += level
         return out
+
+    def candidate_atoms(self, p: int) -> tuple[int, ...]:
+        """The atoms of candidate p, the same for every k whose list has it:
+        each k's list extends the list of k - 1.
+
+        Size 1 is position p itself.  Otherwise p, less the counts of the
+        smaller sizes, is unranked lexicographically: the s-sets that start
+        at position lo number C(n-lo-1, s-1).
+        """
+        var_atoms = self.var_atoms
+        n = len(var_atoms)
+        if p < n:
+            return (var_atoms[p],)
+        for size in range(1, n + 1):
+            if p < comb(n, size):
+                break
+            p -= comb(n, size)
+        else:
+            raise IndexError("candidate index out of range")
+        out = []
+        for lo, atom in enumerate(var_atoms):
+            if not size:
+                break
+            first = comb(n - lo - 1, size - 1)  # the s-sets that start at lo
+            if p < first:
+                out.append(atom)
+                size -= 1
+            else:
+                p -= first
+        return tuple(out)
 
     def candidate_bits(self, k: int) -> dict[int, int]:
         """Bit p of bits[i]: candidate p of ``candidates(k)`` contains atom i.

@@ -16,9 +16,9 @@ Three engines are provided and must agree:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
-from .components import Candidates, _Index
+from .components import _Index
 from .errors import InconclusiveError
 from .hypertree import (
     Hypertree,
@@ -43,11 +43,14 @@ def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
 class _Search:
     """Memoized top-down search over (component, border) states.
 
-    ``cands`` lists the separator candidates as (atoms, variable mask)
-    pairs and ``atom_bits`` maps each atom to the bitset of the candidates
-    holding it, bit p for candidate p: ``idx.candidates(k)`` and its bulk
-    ``idx.candidate_bits(k)`` for the width search, a tree's λ labels and
-    ``_label_bits`` of them for ``normalize_hd``.  A state's usable
+    ``cands`` lists the separator candidates' variable masks and
+    ``atom_bits`` maps each atom to the bitset of the candidates holding
+    it, bit p for candidate p: ``idx.candidates(k)`` and its bulk
+    ``idx.candidate_bits(k)`` for the width search, the masks of a tree's λ
+    labels and ``_label_bits`` of them for ``normalize_hd``.  The search
+    never needs a candidate's atoms: a witness names its separator by
+    candidate index, and ``_search_tree`` looks up the atoms of the
+    separators its tree uses.  A state's usable
     candidates, those that cover its border and meet its component, come
     from ANDing per-variable bitsets, and are tried in list order, so the
     first success is the same one a linear scan of the list would find.
@@ -57,7 +60,7 @@ class _Search:
     found so far, by least bit, and known: var_s and their variables.
     """
 
-    def __init__(self, idx: _Index, cands: Candidates, atom_bits: dict[int, int]):
+    def __init__(self, idx: _Index, cands: list[int], atom_bits: dict[int, int]):
         self.idx = idx
         self.cands = cands
         self.atom_bits = atom_bits
@@ -103,10 +106,12 @@ class _Search:
 
     def _state(self, comp: int, border: int):
         """Solve one state as a generator: yield each substate (sub, border)
-        and receive its witness; return (atoms, kids) or None."""
+        that the memo does not hold yet and receive its witness; return
+        (p, kids) for candidate p, or None."""
+        memo = self.memo
         tried: set[int] = set()
         for p in self._usable(comp, border):
-            atoms, var_s = self.cands[p]
+            var_s = self.cands[p]
             # all usable candidates contain the border, so twins that agree
             # inside comp yield the same substates and fail alike
             seen = var_s & comp
@@ -123,30 +128,33 @@ class _Search:
             kids = []
             for sub in subs:
                 if sub & comp:
-                    w = yield sub, self.adjacent(sub)[0] & var_s
+                    key = sub, self.adjacent(sub)[0] & var_s
+                    w = memo[key] if key in memo else (yield key)
                     if w is None:
                         break
                     kids.append((sub, w))
             else:
-                return atoms, kids
+                return p, kids
         return None
 
     def solve(self, comp: int, border: int):
-        """Witness (atoms, [(sub, witness), ...]) for the state, or None.
+        """Witness (p, [(sub, witness), ...]) for the state, or None.
 
         ``border`` holds the parent separator's variables on the atoms that
         meet ``comp``; the answer depends on nothing else of the separator.
         Drives a stack of state generators, so no state recurses in Python.
+        A state yields only substates missing from the memo, and none of
+        them is pending on the stack: each sub is a proper subset of its
+        comp.
         """
         memo = self.memo
         key = (comp, border)
+        if key in memo:
+            return memo[key]
         stack = []
         while True:
-            if key in memo:
-                w = memo[key]
-            else:
-                stack.append((key, self._state(*key)))
-                w = None  # a new generator starts on send(None)
+            stack.append((key, self._state(*key)))
+            w = None  # a new generator starts on send(None)
             while stack:
                 key, state = stack[-1]
                 try:
@@ -166,13 +174,20 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     idx = _Index(q)
     if not idx.var_atoms:
         return _trivial_tree(q)
-    return _search_tree(idx, idx.candidates(k), idx.candidate_bits(k))
+    return _search_tree(
+        idx, idx.candidates(k), idx.candidate_bits(k), idx.candidate_atoms
+    )
 
 
 def _search_tree(
-    idx: _Index, cands: Candidates, atom_bits: dict[int, int]
+    idx: _Index,
+    cands: list[int],
+    atom_bits: dict[int, int],
+    atoms_of: Callable[[int], tuple[int, ...]],
 ) -> Optional[Hypertree]:
-    """The normal-form tree the search builds over cands, or None if none.
+    """The normal-form tree the search builds over the candidate masks
+    cands, or None if none; atoms_of(p) gives the atoms of candidate p and
+    is asked once per vertex of the tree.
 
     idx must have at least one atom with variables.
     """
@@ -189,12 +204,9 @@ def _search_tree(
     for comp, w in witnesses:
         stack = [(w, comp, 0, 0 if verts else None)]
         while stack:
-            (s, kids), comp, chi_parent, parent_id = stack.pop()
-            var_s = 0
-            for i in s:
-                var_s |= idx.atom_masks[i]
-            chi = var_s & (chi_parent | comp)
-            lam = frozenset(i for i in s if idx.atom_masks[i] & chi)
+            (p, kids), comp, chi_parent, parent_id = stack.pop()
+            chi = cands[p] & (chi_parent | comp)
+            lam = frozenset(i for i in atoms_of(p) if idx.atom_masks[i] & chi)
             vid = len(verts)
             verts.append(HtVertex(vid, parent_id, idx.unmask(chi), lam))
             for sub, child in reversed(kids):
@@ -202,10 +214,10 @@ def _search_tree(
     return Hypertree(verts)
 
 
-def _label_bits(idx: _Index, labels: Candidates) -> dict[int, int]:
+def _label_bits(idx: _Index, labels: list[tuple[int, ...]]) -> dict[int, int]:
     """Bit p of bits[i]: label p contains atom i, set label by label."""
     rows = {i: bytearray((len(labels) + 7) // 8) for i in idx.var_atoms}
-    for p, (s, _) in enumerate(labels):
+    for p, s in enumerate(labels):
         for i in s:
             rows[i][p >> 3] |= 1 << (p & 7)
     return {i: int.from_bytes(row, "little") for i, row in rows.items()}
@@ -228,8 +240,10 @@ def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
         s = tuple(sorted(i for i in h.vertices[vid].lam if idx.atom_masks[i]))
         if s and s not in cands:
             cands[s] = idx.mask(atoms_vars(q, s))
-    labels = list(cands.items())
-    n = _search_tree(idx, labels, _label_bits(idx, labels))
+    labels = list(cands)
+    n = _search_tree(
+        idx, list(cands.values()), _label_bits(idx, labels), labels.__getitem__
+    )
     if n is None:
         raise RuntimeError("no normal form over the decomposition's labels")
     return n
@@ -308,7 +322,7 @@ def fixpoint_decide(q: ConjunctiveQuery, k: int) -> bool:
     cands = idx.candidates(k)
     # pairs (separator vars, component) stratified by component size
     pairs = []
-    seps = {0} | {m for _, m in cands}
+    seps = {0, *cands}
     for var_r in seps:
         for comp in idx.components(var_r):
             pairs.append((var_r, comp))
@@ -320,7 +334,7 @@ def fixpoint_decide(q: ConjunctiveQuery, k: int) -> bool:
         border = 0
         for p in idx.atoms_of(comp):
             border |= idx.atom_masks[p] & var_r
-        for _, var_s in cands:
+        for var_s in cands:
             if not var_s & comp:
                 continue
             if border & ~var_s:

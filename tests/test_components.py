@@ -183,7 +183,7 @@ def test_index_components_match_bfs():
         idx = _Index(q)
         seps = {0, (1 << len(idx.vars)) - 1}
         seps.update(rng.getrandbits(len(idx.vars)) for _ in range(10))
-        seps.update(m for _, m in idx.candidates(2))
+        seps.update(idx.candidates(2))
         for sep in seps:
             assert idx.components(sep) == bfs_components(q, idx, sep), (seed, sep)
 
@@ -194,7 +194,7 @@ def test_index_components_on_families(family):
     for n in (3, 8, 20):
         q = util.family_query(family, n, rng, ground=1)
         idx = _Index(q)
-        for _, sep in idx.candidates(2 if family != "clique" else 1):
+        for sep in idx.candidates(2 if family != "clique" else 1):
             assert idx.components(sep) == bfs_components(q, idx, sep)
 
 
@@ -234,7 +234,8 @@ def test_pieces_match_bfs():
 
 
 def plain_candidates(q, idx, k):
-    """The candidate list and per-atom bitsets, one combination at a time."""
+    """The (atoms, mask) list and per-atom bitsets, one combination at a
+    time."""
     cands, bits = [], {i: 0 for i in idx.var_atoms}
     for size in range(1, k + 1):
         for s in combinations(idx.var_atoms, size):
@@ -247,13 +248,16 @@ def plain_candidates(q, idx, k):
 def assert_bulk_build_is_plain(q, k):
     idx = _Index(q)
     cands, bits = plain_candidates(q, idx, k)
-    assert idx.candidates(k) == cands, (k, str(q))
+    assert idx.candidates(k) == [m for _, m in cands], (k, str(q))
+    for p, (s, _) in enumerate(cands):
+        assert idx.candidate_atoms(p) == s, (k, p, str(q))
     assert idx.candidate_bits(k) == bits, (k, str(q))
 
 
 def test_candidates_match_plain_build():
-    """The level-by-level masks and the bitsets built by recurrence equal
-    the per-combination build, constants (variable-free atoms) included."""
+    """The level-by-level masks, the unranked atom sets and the bitsets
+    built by recurrence equal the per-combination build, constants
+    (variable-free atoms) included."""
     for seed in range(200):
         rng = random.Random(seed)
         q = util.rand_query(
@@ -263,7 +267,7 @@ def test_candidates_match_plain_build():
             max_arity=rng.choice([1, 2, 3]),
             consts=["a", "b"],
         )
-        for k in range(1, 6):
+        for k in range(1, 7):
             assert_bulk_build_is_plain(q, k)
 
 
@@ -275,13 +279,15 @@ def test_candidates_beyond_the_atom_count():
     idx = _Index(parse_query("ans <- r(X,Y), s(Y,Z), t(Z,X)."))
     assert idx.candidates(10**6) == idx.candidates(3)
     assert idx.candidate_bits(10**6) == idx.candidate_bits(3)
+    with pytest.raises(IndexError):
+        idx.candidate_atoms(len(idx.candidates(3)))
 
 
 def test_candidates_skip_variable_free_atoms():
     q = parse_query("ans <- g, r(X,Y), h(a), s(Y,Z), t(Z,X), u(b,c), w(X).")
     idx = _Index(q)
     assert idx.var_atoms == [1, 3, 4, 6]
-    for k in range(1, 6):
+    for k in range(1, 7):
         assert_bulk_build_is_plain(q, k)
     assert len(idx.candidates(4)) == 15
     # at k=2: (1) (3) (4) (6) (1,3) (1,4) (1,6) (3,4) (3,6) (4,6)
