@@ -128,8 +128,10 @@ class _Index:
         each k's list extends the list of k - 1.
 
         Size 1 is position p itself.  Otherwise p, less the counts of the
-        smaller sizes, is unranked lexicographically: the s-sets that start
-        at position lo number C(n-lo-1, s-1).
+        smaller sizes, is unranked lexicographically: of the s-sets of
+        positions start..n-1, those that start before lo number
+        C(n-start, s) - C(n-lo, s), so each position is found by binary
+        search, in O(k log n) ``comb`` calls in all.
         """
         var_atoms = self.var_atoms
         n = len(var_atoms)
@@ -142,15 +144,20 @@ class _Index:
         else:
             raise IndexError("candidate index out of range")
         out = []
-        for lo, atom in enumerate(var_atoms):
-            if not size:
-                break
-            first = comb(n - lo - 1, size - 1)  # the s-sets that start at lo
-            if p < first:
-                out.append(atom)
-                size -= 1
-            else:
-                p -= first
+        start = 0
+        while size:
+            total = comb(n - start, size)
+            lo, hi = start, n - size  # the last lo with at most p sets before it
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if total - comb(n - mid, size) <= p:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            p -= total - comb(n - lo, size)
+            out.append(var_atoms[lo])
+            start = lo + 1
+            size -= 1
         return tuple(out)
 
     def candidate_bits(self, k: int) -> dict[int, int]:

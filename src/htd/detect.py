@@ -41,7 +41,7 @@ def _trivial_tree(q: ConjunctiveQuery) -> Hypertree:
 
 
 class _Search:
-    """Memoized top-down search over (component, border) states.
+    """Memoized top-down search over components, one state per component.
 
     ``cands`` lists the separator candidates' variable masks and
     ``atom_bits`` maps each atom to the bitset of the candidates holding
@@ -55,9 +55,15 @@ class _Search:
     from ANDing per-variable bitsets, and are tried in list order, so the
     first success is the same one a linear scan of the list would find.
 
+    A state is its component alone: a usable separator covers the border,
+    the variables outside the component on the atoms that meet it, so
+    every separator that splits off a component leaves it the same border.
+    ``memo`` maps a component to its witness, or to None if it fails.
+
     A candidate var_s is split only inside the component of the state that
     tries it.  ``_splits[var_s] = (known, comps)`` keeps the components
     found so far, by least bit, and known: var_s and their variables.
+    ``_dead[var_s]`` is the union of the [var_s]-components known to fail.
     """
 
     def __init__(self, idx: _Index, cands: list[int], atom_bits: dict[int, int]):
@@ -74,23 +80,24 @@ class _Search:
                 m ^= x
         self._adj: dict[int, tuple[int, int]] = {}
         self._splits: dict[int, tuple[int, list[int]]] = {}
-        self.memo: dict[tuple[int, int], object] = {}
+        self._dead: dict[int, int] = {}
+        self.memo: dict[int, object] = {}
 
     def adjacent(self, comp: int) -> tuple[int, int]:
-        """Variables of the atoms meeting comp, and the candidates meeting it."""
+        """The border of comp, the variables outside it on the atoms that
+        meet it, and the candidates meeting comp."""
         found = self._adj.get(comp)
         if found is None:
             variables = bits = 0
             for i in self.idx.atoms_of(comp):
                 variables |= self.idx.atom_masks[i]
                 bits |= self.atom_bits[i]
-            found = self._adj[comp] = (variables, bits)
+            found = self._adj[comp] = (variables & ~comp, bits)
         return found
 
-    def _usable(self, comp: int, border: int):
-        """Candidates covering border and meeting comp, in list order."""
-        bits = self.adjacent(comp)[1]
-        m = border
+    def _usable(self, comp: int):
+        """Candidates covering comp's border and meeting comp, in list order."""
+        m, bits = self.adjacent(comp)
         while m and bits:
             x = m & -m
             bits &= self.var_bits[x]
@@ -104,16 +111,20 @@ class _Search:
                 return
             yield top - j
 
-    def _state(self, comp: int, border: int):
-        """Solve one state as a generator: yield each substate (sub, border)
-        that the memo does not hold yet and receive its witness; return
+    def _state(self, comp: int):
+        """Solve the state of comp as a generator: yield each substate that
+        the memo does not hold yet and receive its witness; return
         (p, kids) for candidate p, or None."""
-        memo = self.memo
+        memo, dead = self.memo, self._dead
         tried: set[int] = set()
-        for p in self._usable(comp, border):
+        for p in self._usable(comp):
             var_s = self.cands[p]
-            # all usable candidates contain the border, so twins that agree
-            # inside comp yield the same substates and fail alike
+            # var_s covers the border, so a [var_s]-component meeting comp
+            # lies inside it: one known to fail fails this try
+            if dead.get(var_s, 0) & comp:
+                continue
+            # twins that agree inside comp yield the same substates and
+            # fail alike
             seen = var_s & comp
             if seen in tried:
                 continue
@@ -128,40 +139,37 @@ class _Search:
             kids = []
             for sub in subs:
                 if sub & comp:
-                    key = sub, self.adjacent(sub)[0] & var_s
-                    w = memo[key] if key in memo else (yield key)
+                    w = memo[sub] if sub in memo else (yield sub)
                     if w is None:
+                        dead[var_s] = dead.get(var_s, 0) | sub
                         break
                     kids.append((sub, w))
             else:
                 return p, kids
         return None
 
-    def solve(self, comp: int, border: int):
-        """Witness (p, [(sub, witness), ...]) for the state, or None.
+    def solve(self, comp: int):
+        """Witness (p, [(sub, witness), ...]) for the component, or None.
 
-        ``border`` holds the parent separator's variables on the atoms that
-        meet ``comp``; the answer depends on nothing else of the separator.
         Drives a stack of state generators, so no state recurses in Python.
         A state yields only substates missing from the memo, and none of
         them is pending on the stack: each sub is a proper subset of its
         comp.
         """
         memo = self.memo
-        key = (comp, border)
-        if key in memo:
-            return memo[key]
+        if comp in memo:
+            return memo[comp]
         stack = []
         while True:
-            stack.append((key, self._state(*key)))
+            stack.append((comp, self._state(comp)))
             w = None  # a new generator starts on send(None)
             while stack:
-                key, state = stack[-1]
+                comp, state = stack[-1]
                 try:
-                    key = state.send(w)  # the next substate to solve
+                    comp = state.send(w)  # the next substate to solve
                     break
                 except StopIteration as done:
-                    memo[key] = w = done.value
+                    memo[comp] = w = done.value
                     stack.pop()
             else:
                 return w
@@ -194,7 +202,7 @@ def _search_tree(
     search = _Search(idx, cands, atom_bits)
     witnesses = []
     for comp in idx.components(0):
-        w = search.solve(comp, 0)
+        w = search.solve(comp)
         if w is None:
             return None
         witnesses.append((comp, w))

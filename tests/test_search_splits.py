@@ -5,9 +5,15 @@ searched, and caches per separator the components found so far.
 [var_s]-components inside ``known``, in the order ``_Index.components``
 gives, so that the search sees the same substates as a search that splits
 the whole query for every candidate.
+
+A state is its component alone: every memo key is a component of its
+border, the variables outside it on the atoms that meet it.
+``_Search._dead[var_s]`` must be a union of [var_s]-components, each of
+which the memo holds as failed.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -41,6 +47,28 @@ def assert_splits_are_components(search):
             union |= c
         assert known == var_s | union, var_s
         assert comps == [c for c in idx.components(var_s) if not c & ~known], var_s
+
+
+def assert_memo_keys_are_components(search):
+    idx = search.idx
+    for comp in search.memo:
+        border = 0
+        for m in idx.atom_masks:
+            if m & comp:
+                border |= m
+        border &= ~comp
+        assert comp in idx.components(border), comp
+
+
+def assert_dead_masks_are_failed_components(search):
+    idx = search.idx
+    for var_s, dead in search._dead.items():
+        failed = [c for c in idx.components(var_s) if c & dead]
+        union = 0
+        for c in failed:
+            union |= c
+            assert c in search.memo and search.memo[c] is None, (var_s, c)
+        assert union == dead, var_s
 
 
 def test_split_cache_on_random_queries(searches):
@@ -81,6 +109,54 @@ def test_split_cache_on_shapes(searches, family):
             decompose(q, k)
     for search in searches:
         assert_splits_are_components(search)
+
+
+def random_corpus():
+    for seed in range(150):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([4, 6, 8]),
+            max_vars=rng.choice([5, 7, 9]),
+            max_arity=rng.choice([2, 3, 4]),
+        )
+        for k in (1, 2, 3):
+            decompose(q, k)
+
+
+def reduction_corpus():
+    inst = X3CInstance(
+        ("g1", "g2", "g3", "g4", "g5", "g6"),
+        (frozenset({"g1", "g2", "g3"}), frozenset({"g1", "g4", "g5"})),
+    )
+    q = x3c_to_query(inst)
+    assert decompose(q, 3) is None  # no exact cover
+    assert decompose(q, 4) is not None
+
+
+def shape_corpus(family):
+    for n in (3, 8, 30):
+        q = util.family_query(family, n, random.Random(n), ground=1)
+        for k in (1, 2):
+            decompose(q, k)
+
+
+CORPORA = {
+    "random": random_corpus,
+    "reduction": reduction_corpus,
+    **{f: partial(shape_corpus, f) for f in ("star", "path", "cycle")},
+}
+
+
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_memo_keys_and_dead_masks(searches, corpus):
+    CORPORA[corpus]()
+    assert searches
+    for search in searches:
+        assert_memo_keys_are_components(search)
+        assert_dead_masks_are_failed_components(search)
+    if corpus not in ("star", "path"):  # acyclic: no k fails
+        assert any(s._dead for s in searches)
 
 
 def test_star_split_work_is_linear(monkeypatch):
