@@ -50,20 +50,23 @@ class _Search:
     labels and ``_label_bits`` of them for ``normalize_hd``.  The search
     never needs a candidate's atoms: a witness names its separator by
     candidate index, and ``_search_tree`` looks up the atoms of the
-    separators its tree uses.  A state's usable
-    candidates, those that cover its border and meet its component, come
-    from ANDing per-variable bitsets, and are tried in list order, so the
-    first success is the same one a linear scan of the list would find.
+    separators its tree uses.
 
     A state is its component alone: a usable separator covers the border,
     the variables outside the component on the atoms that meet it, so
     every separator that splits off a component leaves it the same border.
     ``memo`` maps a component to its witness, or to None if it fails.
 
+    A component F is a [var_s]-component exactly when var_s covers F's
+    border and misses F, so a failed F rules out the candidates
+    kill(F) = cover(border(F)) & ~meet(F), where cover(B) ANDs
+    ``var_bits[x]`` over the variables x of B and meet(F) ORs ``atom_bits``
+    over the atoms meeting F.  ``_killed[x]`` is the union of kill(F) over
+    the failed F whose least variable bit is x.
+
     A candidate var_s is split only inside the component of the state that
     tries it.  ``_splits[var_s] = (known, comps)`` keeps the components
     found so far, by least bit, and known: var_s and their variables.
-    ``_dead[var_s]`` is the union of the [var_s]-components known to fail.
     """
 
     def __init__(self, idx: _Index, cands: list[int], atom_bits: dict[int, int]):
@@ -78,62 +81,53 @@ class _Search:
                 x = m & -m
                 self.var_bits[x] = self.var_bits.get(x, 0) | bits
                 m ^= x
-        self._adj: dict[int, tuple[int, int]] = {}
         self._splits: dict[int, tuple[int, list[int]]] = {}
-        self._dead: dict[int, int] = {}
+        self._killed: dict[int, int] = {}
         self.memo: dict[int, object] = {}
 
-    def adjacent(self, comp: int) -> tuple[int, int]:
-        """The border of comp, the variables outside it on the atoms that
-        meet it, and the candidates meeting comp."""
-        found = self._adj.get(comp)
-        if found is None:
-            variables = bits = 0
-            for i in self.idx.atoms_of(comp):
-                variables |= self.idx.atom_masks[i]
-                bits |= self.atom_bits[i]
-            found = self._adj[comp] = (variables & ~comp, bits)
-        return found
-
-    def _usable(self, comp: int):
-        """Candidates covering comp's border and meeting comp, in list order."""
-        m, bits = self.adjacent(comp)
-        while m and bits:
-            x = m & -m
-            bits &= self.var_bits[x]
-            m ^= x
-        text = bin(bits)
-        top = len(text) - 1
-        j = len(text)
-        while True:
-            j = text.rfind("1", 2, j)
-            if j < 0:
-                return
-            yield top - j
+    def _killed_in(self, comp: int) -> int:
+        """The candidates ruled out by a failed component whose least bit
+        is in comp."""
+        out = 0
+        for x, bits in self._killed.items():
+            if x & comp:
+                out |= bits
+        return out
 
     def _state(self, comp: int):
         """Solve the state of comp as a generator: yield each substate that
         the memo does not hold yet and receive its witness; return
-        (p, kids) for candidate p, or None."""
-        memo, dead = self.memo, self._dead
-        tried: set[int] = set()
-        for p in self._usable(comp):
+        (p, kids) for candidate p, or None.
+
+        The usable candidates cover comp's border and meet comp.  They are
+        tried in list order, lowest bit first, so the first success is the
+        one a linear scan of the list would find.  A usable candidate in
+        kill(F) for a failed F meeting comp has F as a component, and F lies
+        inside comp because the candidate covers comp's border, so the try
+        would fail: such candidates are dropped before the first try and
+        again after each failed one, which found new failures.
+        """
+        idx, memo = self.idx, self.memo
+        variables = meet = 0
+        for i in idx.atoms_of(comp):
+            variables |= idx.atom_masks[i]
+            meet |= self.atom_bits[i]
+        cover = (1 << len(self.cands)) - 1
+        m = variables & ~comp  # the border
+        while m:
+            x = m & -m
+            cover &= self.var_bits[x]
+            m ^= x
+        bits = cover & meet & ~self._killed_in(comp)
+        while bits:
+            low = bits & -bits
+            p = low.bit_length() - 1
             var_s = self.cands[p]
-            # var_s covers the border, so a [var_s]-component meeting comp
-            # lies inside it: one known to fail fails this try
-            if dead.get(var_s, 0) & comp:
-                continue
-            # twins that agree inside comp yield the same substates and
-            # fail alike
-            seen = var_s & comp
-            if seen in tried:
-                continue
-            tried.add(seen)
             known, subs = self._splits.get(var_s) or (var_s, [])
             if comp & ~known:
                 # var_s covers the border, so comp - known is a union of
                 # [var_s]-components that are not known yet
-                new = self.idx.pieces(comp & ~known)
+                new = idx.pieces(comp & ~known)
                 subs = sorted(subs + new, key=lambda c: c & -c)  # by least bit
                 self._splits[var_s] = (known | comp, subs)
             kids = []
@@ -141,11 +135,13 @@ class _Search:
                 if sub & comp:
                     w = memo[sub] if sub in memo else (yield sub)
                     if w is None:
-                        dead[var_s] = dead.get(var_s, 0) | sub
                         break
                     kids.append((sub, w))
             else:
                 return p, kids
+            bits &= ~(low | self._killed_in(comp))
+        x = comp & -comp
+        self._killed[x] = self._killed.get(x, 0) | cover & ~meet
         return None
 
     def solve(self, comp: int):

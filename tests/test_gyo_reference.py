@@ -6,6 +6,7 @@ input.  The 5,000-atom cases would take minutes with such rescans; no timing
 bound is set on them.
 """
 
+import gc
 import random
 import time
 
@@ -101,12 +102,19 @@ def test_independent_of_the_search():
     assert not names & {"_Index", "decompose", "components"}
 
 
-def best_time(f, q, repeats):
-    best = float("inf")
+def best_times(f, queries, repeats):
+    """The best time of f on each query.  Each repetition times every query
+    in turn, so all of them see the same phases of a shared machine.  Each
+    call starts after a full garbage collection, so that a collection of
+    the whole process heap, whose cost does not depend on the query, is
+    not set off inside one call and not the other."""
+    best = [float("inf")] * len(queries)
     for _ in range(repeats):
-        start = time.perf_counter()
-        f(q)
-        best = min(best, time.perf_counter() - start)
+        for i, q in enumerate(queries):
+            gc.collect()
+            start = time.perf_counter()
+            f(q)
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -116,17 +124,19 @@ def test_scaling(family):
     """Doubling n at most triples gyo_acyclic's time (best of 5).  It is
     timed at n = 4,000 and 8,000, where each time is tens of milliseconds:
     at n = 500 a time of a few milliseconds let scheduler noise alone push
-    the ratio past 3.  The ratio for decompose(., 1) at n = 500 and 1,000 is
-    printed only; run with -s to see it."""
+    the ratio past 3.  The two sizes alternate within each repetition, so
+    a slow phase of the machine cannot fall on one size alone.  The ratio
+    for decompose(., 1) at n = 500 and 1,000 is printed only; run with -s
+    to see it."""
     n = 4000
     g1 = util.family_query(family, n, random.Random(1))
     g2 = util.family_query(family, 2 * n, random.Random(2))
-    gyo = best_time(gyo_acyclic, g2, 5) / best_time(gyo_acyclic, g1, 5)
+    b1, b2 = best_times(gyo_acyclic, [g1, g2], 5)
+    gyo = b2 / b1
     n = 500
     q1 = util.family_query(family, n, random.Random(1))
     q2 = util.family_query(family, 2 * n, random.Random(2))
-    t1 = best_time(lambda q: decompose(q, 1), q1, 1)
-    t2 = best_time(lambda q: decompose(q, 1), q2, 1)
+    t1, t2 = best_times(lambda q: decompose(q, 1), [q1, q2], 1)
     print(
         f"{family}: gyo_acyclic x{gyo:.2f}; "
         f"decompose(., 1) {t1:.3f} s -> {t2:.3f} s, x{t2 / t1:.2f}"

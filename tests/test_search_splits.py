@@ -8,8 +8,8 @@ the whole query for every candidate.
 
 A state is its component alone: every memo key is a component of its
 border, the variables outside it on the atoms that meet it.
-``_Search._dead[var_s]`` must be a union of [var_s]-components, each of
-which the memo holds as failed.
+``_Search._killed[x]`` must hold exactly the candidates that have as a
+component some failed memo key whose least variable bit is x.
 """
 
 import random
@@ -60,15 +60,16 @@ def assert_memo_keys_are_components(search):
         assert comp in idx.components(border), comp
 
 
-def assert_dead_masks_are_failed_components(search):
+def assert_kill_sets_are_failed_components(search):
     idx = search.idx
-    for var_s, dead in search._dead.items():
-        failed = [c for c in idx.components(var_s) if c & dead]
-        union = 0
-        for c in failed:
-            union |= c
-            assert c in search.memo and search.memo[c] is None, (var_s, c)
-        assert union == dead, var_s
+    failed = {c for c, w in search.memo.items() if w is None}
+    want = {}
+    for p, var_s in enumerate(search.cands):
+        for c in idx.components(var_s):
+            if c in failed:
+                x = c & -c
+                want[x] = want.get(x, 0) | 1 << p
+    assert {x: b for x, b in search._killed.items() if b} == want
 
 
 def test_split_cache_on_random_queries(searches):
@@ -150,13 +151,15 @@ CORPORA = {
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
 def test_memo_keys_and_dead_masks(searches, corpus):
+    """Every memo key is a component of its border, and the kill sets hold
+    exactly the candidates that the failed keys rule out."""
     CORPORA[corpus]()
     assert searches
     for search in searches:
         assert_memo_keys_are_components(search)
-        assert_dead_masks_are_failed_components(search)
+        assert_kill_sets_are_failed_components(search)
     if corpus not in ("star", "path"):  # acyclic: no k fails
-        assert any(s._dead for s in searches)
+        assert any(s._killed for s in searches)
 
 
 def test_star_split_work_is_linear(monkeypatch):

@@ -3,13 +3,17 @@
 Separator candidates are bare variable masks; a candidate's atoms are
 unranked from its index only for the vertices of the tree that is built.
 A state answers its memo hits itself and yields only misses to the driver.
-A candidate whose separator has a component known to fail inside the
-state's component is skipped before it is split.
+A candidate that has a component known to fail inside the state's
+component is dropped from the state's candidate bitset before it is split,
+and the search keeps no per-component cache, so a refutation's memory is
+its memo and one kill bitset per variable.
 """
+
+import tracemalloc
 
 import pytest
 
-from htd import X3CInstance, decompose, x3c_to_query
+from htd import X3CInstance, decompose, parse_query, x3c_to_query
 from htd import detect
 from htd.components import _Index
 
@@ -57,8 +61,9 @@ def searches(monkeypatch):
 @pytest.fixture
 def splits(monkeypatch, searches):
     """The number of tries that reach the split step: each looks up its
-    separator in ``_splits`` once, after the dead-mask and twin checks.
-    The searches are still recorded and checked by ``searches``."""
+    separator in ``_splits`` once; a candidate that the kill sets drop
+    makes no try.  The searches are still recorded and checked by
+    ``searches``."""
     calls = [0]
 
     class Counted(dict):
@@ -84,10 +89,11 @@ def reduction_query():
 
 
 def test_dead_masks_bound_the_tries(searches, splits):
-    """A try that passes the dead masks either solves its state or fails on
-    a component that its separator's dead mask did not hold yet.  Here the
-    refutation splits 5,449 times, once per distinct separator, against
-    5,228 states; without the dead masks it splits 66,556 times."""
+    """A try that passes the kill sets either solves its state or fails on
+    a component that no kill set held yet.  Here the refutation splits
+    5,227 times, once per distinct separator, against 5,228 states; with
+    per-separator dead masks in place of the kill sets it split 5,449
+    times, and with neither 66,556 times."""
     assert decompose(reduction_query(), 3) is None  # no exact cover
     (search,) = searches
     assert splits[0] <= len(search._splits) + len(search.memo), (
@@ -95,6 +101,34 @@ def test_dead_masks_bound_the_tries(searches, splits):
         len(search._splits),
         len(search.memo),
     )
+
+
+def grid_query(n):
+    """The n x n grid graph, one binary atom per edge, row by row."""
+    atoms = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                atoms.append(f"e(X{r}_{c}, X{r}_{c + 1})")
+            if r + 1 < n:
+                atoms.append(f"e(X{r}_{c}, X{r + 1}_{c})")
+    return parse_query("ans <- " + ", ".join(atoms) + ".")
+
+
+@pytest.mark.slow
+def test_grid_refutation_memory():
+    """decompose(grid_6x6, 3) refutes within 50 MB of traced allocations.
+    A cache of the candidates meeting each component held a 36,050-bit
+    bitset for each of the 33,000 components visited: about 150 MB."""
+    q = grid_query(6)
+    assert len(q.body) == 60
+    tracemalloc.start()
+    try:
+        assert decompose(q, 3) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
 
 
 def test_unranking_only_for_the_tree(unranked, searches):
