@@ -9,8 +9,9 @@ Components are computed in one place, ``_Index.pieces``: the connected
 pieces of a variable mask, each atom restricted to it.  ``_Index`` is a
 bitmask view of the query that the width search (which ``normalize_hd``
 also runs) and the normal-form validator share, and that ``v_components``
-wraps; the search splits a separator only inside the component it
-searches.
+wraps.  ``_Index.components`` is the one cache of components: per
+separator it keeps those found so far, so the search, which splits a
+separator only inside the component it searches, fills it lazily.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class Component:
 class _Index:
     """Bitmask view of a query: one bit per variable, in sorted order.
 
-    ``pieces(free)`` is the one merge loop.  ``components(sep)`` is the
-    pieces of the complement of sep, cached per separator mask, so one
-    index serves every separator a caller asks about.
+    ``pieces(free)`` is the one merge loop.  ``components(sep, within)``
+    caches, per separator mask, the components found so far, and splits
+    only the part of within that no earlier call covered, so one index
+    serves every separator a caller asks about.
     """
 
     def __init__(self, q: ConjunctiveQuery):
@@ -51,7 +53,8 @@ class _Index:
         self.atom_masks = [self.mask(a.variables()) for a in q.body]
         self.var_atoms = [i for i, m in enumerate(self.atom_masks) if m]
         self._merge_order = _connected_order(self.atom_masks)
-        self._comp_cache: dict[int, tuple[int, ...]] = {}
+        # per separator mask: (sep and the bits split so far, the components)
+        self._comps: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def mask(self, names: Iterable[str]) -> int:
         """Bits of the names; names that are not variables of Q are ignored."""
@@ -69,13 +72,18 @@ class _Index:
             m ^= low
         return frozenset(out)
 
-    def components(self, sep: int) -> tuple[int, ...]:
-        """Masks of the maximal [sep]-connected variable sets."""
-        cached = self._comp_cache.get(sep)
-        if cached is None:
-            all_vars = (1 << len(self.vars)) - 1
-            cached = self._comp_cache[sep] = tuple(self.pieces(all_vars & ~sep))
-        return cached
+    def components(self, sep: int, within: int = -1) -> tuple[int, ...]:
+        """Masks of the [sep]-components found so far, by least bit: at
+        least those inside within, by default every variable, of which
+        within minus sep must be a union of whole [sep]-components.  Only
+        the part of within that no call split before is split.
+        """
+        known, comps = self._comps.get(sep) or (sep, ())
+        if within & ~known:
+            new = self.pieces(within & ~known)
+            comps = tuple(sorted(comps + tuple(new), key=lambda c: c & -c))
+            self._comps[sep] = (known | within, comps)
+        return comps
 
     def pieces(self, free: int) -> list[int]:
         """Masks of the connected pieces of free, each atom restricted to
@@ -248,9 +256,9 @@ def v_components(q: ConjunctiveQuery, v: Iterable[str]) -> frozenset[Component]:
     """All [V]-components of Q, as a set of Component values.
 
     Names in V that are not variables of Q are ignored.  Each call builds a
-    fresh _Index, so its per-separator component cache helps only within
-    the call; a caller asking about many separators of one query should
-    share one _Index.
+    fresh _Index and splits the whole query once; a caller asking about many
+    separators of one query should share one _Index, whose cache keeps each
+    separator's components.
     """
     vset = frozenset(v)
     idx = _Index(q)

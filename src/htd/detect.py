@@ -64,9 +64,9 @@ class _Search:
     over the atoms meeting F.  ``_killed[x]`` is the union of kill(F) over
     the failed F whose least variable bit is x.
 
-    A candidate var_s is split only inside the component of the state that
-    tries it.  ``_splits[var_s] = (known, comps)`` keeps the components
-    found so far, by least bit, and known: var_s and their variables.
+    A candidate is split only inside the component of the state that tries
+    it, through ``idx.components``, which caches the components found so
+    far per separator; the search itself caches no components.
     """
 
     def __init__(self, idx: _Index, cands: list[int], atom_bits: dict[int, int]):
@@ -81,7 +81,6 @@ class _Search:
                 x = m & -m
                 self.var_bits[x] = self.var_bits.get(x, 0) | bits
                 m ^= x
-        self._splits: dict[int, tuple[int, list[int]]] = {}
         self._killed: dict[int, int] = {}
         self.memo: dict[int, object] = {}
 
@@ -122,16 +121,10 @@ class _Search:
         while bits:
             low = bits & -bits
             p = low.bit_length() - 1
-            var_s = self.cands[p]
-            known, subs = self._splits.get(var_s) or (var_s, [])
-            if comp & ~known:
-                # var_s covers the border, so comp - known is a union of
-                # [var_s]-components that are not known yet
-                new = idx.pieces(comp & ~known)
-                subs = sorted(subs + new, key=lambda c: c & -c)  # by least bit
-                self._splits[var_s] = (known | comp, subs)
             kids = []
-            for sub in subs:
+            # candidate p covers the border, so comp less its variables is
+            # a union of whole components of it
+            for sub in idx.components(self.cands[p], comp):
                 if sub & comp:
                     w = memo[sub] if sub in memo else (yield sub)
                     if w is None:
@@ -153,8 +146,6 @@ class _Search:
         comp.
         """
         memo = self.memo
-        if comp in memo:
-            return memo[comp]
         stack = []
         while True:
             stack.append((comp, self._state(comp)))

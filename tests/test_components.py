@@ -233,6 +233,53 @@ def test_pieces_match_bfs():
             assert idx.pieces(union) == some, (seed, sep, union)
 
 
+def assert_lazy_fills_agree(q, rng, seps):
+    """For each separator, split within one component, then within the
+    union of two others (with some separator bits), then whole, on one
+    index; the whole split first and then the same partial ones on another.
+    Each answer holds exactly the components inside what was asked so far,
+    by least bit, and the last is all of them."""
+    lazy, eager = _Index(q), _Index(q)
+    for sep in dict.fromkeys(seps):
+        want = bfs_components(q, _Index(q), sep)
+        picks = rng.sample(want, min(3, len(want)))
+        first = picks[0] if picks else 0
+        rest = sep & rng.getrandbits(len(lazy.vars))
+        for c in picks[1:]:
+            rest |= c
+        asked = sep
+        for within in (first, rest, -1):  # -1, every bit: the default
+            asked |= within
+            got = lazy.components(sep, within)
+            assert got == tuple(c for c in want if not c & ~asked), (sep, within)
+        assert eager.components(sep) == want, sep
+        for within in (first, rest):
+            assert eager.components(sep, within) == want, (sep, within)
+        for idx in (lazy, eager):
+            assert idx._comps[sep][1] == want, sep
+
+
+def test_lazy_fills_agree_in_any_order():
+    for seed in range(150):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([4, 8, 12]),
+            max_vars=rng.choice([6, 10, 14]),
+            max_arity=rng.choice([2, 3, 4]),
+        )
+        idx = _Index(q)
+        seps = [0, *idx.candidates(2)]
+        seps += [rng.getrandbits(len(idx.vars)) for _ in range(6)]
+        assert_lazy_fills_agree(q, rng, seps)
+    for family in sorted(util.FAMILIES):
+        rng = random.Random(family)
+        for n in (3, 8, 20):
+            q = util.family_query(family, n, rng, ground=1)
+            seps = _Index(q).candidates(2 if family != "clique" else 1)
+            assert_lazy_fills_agree(q, rng, [0, *seps])
+
+
 def plain_candidates(q, idx, k):
     """The (atoms, mask) list and per-atom bitsets, one combination at a
     time."""

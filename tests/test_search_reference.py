@@ -101,3 +101,16 @@ def test_identical_on_shuffled_reduction_queries():
             tuple(Atom(a.relation, a.args, i) for i, a in enumerate(body)),
         )
         assert same(q, 3) and same(q, 4), seed
+
+
+def test_identical_on_families():
+    """The shapes where one separator is split within several components
+    in turn, each at a few sizes."""
+    for family in sorted(util.FAMILIES):
+        rng = random.Random(family)
+        for n in (3, 5, 8, 12, 20):
+            if family == "clique" and n > 8:
+                continue
+            q = util.family_query(family, n, rng, ground=1)
+            for k in (1, 2):
+                assert same(q, k), (family, n, k, str(q))

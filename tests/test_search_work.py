@@ -6,16 +6,19 @@ A state answers its memo hits itself and yields only misses to the driver.
 A candidate that has a component known to fail inside the state's
 component is dropped from the state's candidate bitset before it is split,
 and the search keeps no per-component cache, so a refutation's memory is
-its memo and one kill bitset per variable.
+its memo, one kill bitset per variable and the index's components per
+separator.
 """
 
 import tracemalloc
 
 import pytest
 
-from htd import X3CInstance, decompose, parse_query, x3c_to_query
+from htd import decompose, parse_query
 from htd import detect
 from htd.components import _Index
+
+import util
 
 
 @pytest.fixture
@@ -60,32 +63,19 @@ def searches(monkeypatch):
 
 @pytest.fixture
 def splits(monkeypatch, searches):
-    """The number of tries that reach the split step: each looks up its
-    separator in ``_splits`` once; a candidate that the kill sets drop
-    makes no try.  The searches are still recorded and checked by
-    ``searches``."""
+    """The number of tries that reach the split step: each asks the
+    index's cache for its separator's components within the state's
+    component once; a candidate that the kill sets drop makes no try.  The
+    searches are still recorded and checked by ``searches``."""
     calls = [0]
+    components = _Index.components
 
-    class Counted(dict):
-        def get(self, *args):
-            calls[0] += 1
-            return super().get(*args)
+    def counted(self, sep, *within):
+        calls[0] += bool(within)
+        return components(self, sep, *within)
 
-    class Recorded(detect._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self._splits = Counted()
-
-    monkeypatch.setattr(detect, "_Search", Recorded)
+    monkeypatch.setattr(_Index, "components", counted)
     return calls
-
-
-def reduction_query():
-    inst = X3CInstance(
-        ("g1", "g2", "g3", "g4", "g5", "g6"),
-        (frozenset({"g1", "g2", "g3"}), frozenset({"g1", "g4", "g5"})),
-    )
-    return x3c_to_query(inst)
 
 
 def test_dead_masks_bound_the_tries(searches, splits):
@@ -94,11 +84,13 @@ def test_dead_masks_bound_the_tries(searches, splits):
     5,227 times, once per distinct separator, against 5,228 states; with
     per-separator dead masks in place of the kill sets it split 5,449
     times, and with neither 66,556 times."""
-    assert decompose(reduction_query(), 3) is None  # no exact cover
+    assert decompose(util.reduction_query(), 3) is None  # no exact cover
     (search,) = searches
-    assert splits[0] <= len(search._splits) + len(search.memo), (
+    assert splits[0] > 0
+    cached = search.idx._comps
+    assert splits[0] <= len(cached) + len(search.memo), (
         splits[0],
-        len(search._splits),
+        len(cached),
         len(search.memo),
     )
 
@@ -132,7 +124,7 @@ def test_grid_refutation_memory():
 
 
 def test_unranking_only_for_the_tree(unranked, searches):
-    q = reduction_query()
+    q = util.reduction_query()
     assert decompose(q, 3) is None  # no exact cover
     assert unranked == []
     h = decompose(q, 4)

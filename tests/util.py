@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import random
 
-from htd import Atom, ConjunctiveQuery, Database, constant, variable
+from htd import (
+    Atom,
+    ConjunctiveQuery,
+    Database,
+    X3CInstance,
+    constant,
+    variable,
+    x3c_to_query,
+)
 from htd.hypertree import Hypertree, HtVertex
 
 RELATIONS = ["r", "s", "t", "u", "w"]
@@ -46,6 +54,16 @@ def rand_query(
                 for v in rng.sample(bvars, rng.randint(0, min(2, len(bvars))))
             )
     return ConjunctiveQuery(Atom("ans", head_args), tuple(body))
+
+
+def reduction_query() -> ConjunctiveQuery:
+    """The 32-atom query of a 6-element X3C instance with no exact cover:
+    decompose refutes it at k=3 and solves it at k=4."""
+    inst = X3CInstance(
+        ("g1", "g2", "g3", "g4", "g5", "g6"),
+        (frozenset({"g1", "g2", "g3"}), frozenset({"g1", "g4", "g5"})),
+    )
+    return x3c_to_query(inst)
 
 
 def trivial_hd(q: ConjunctiveQuery) -> Hypertree:
