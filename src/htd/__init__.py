@@ -12,15 +12,7 @@ from .components import (
     v_adjacent,
     v_components,
 )
-from .detect import (
-    brute_force_qw,
-    decompose,
-    fixpoint_decide,
-    gyo_acyclic,
-    hypertree_width,
-    is_acyclic,
-    normalize_hd,
-)
+from .detect import decompose, hypertree_width, is_acyclic, normalize_hd
 from .errors import (
     DatabaseFormatError,
     DecompositionFormatError,
@@ -31,7 +23,6 @@ from .errors import (
 )
 from .evaluate import (
     AcyclicInstance,
-    brute_force_eval,
     eval_boolean,
     eval_full,
     format_answers,
@@ -85,6 +76,12 @@ from .model import (
     print_query,
     query_hypergraph,
     variable,
+)
+from .oracle import (
+    brute_force_eval,
+    brute_force_qw,
+    fixpoint_decide,
+    gyo_acyclic,
 )
 
 __version__ = "0.1.0"

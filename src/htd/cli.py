@@ -10,8 +10,8 @@ import argparse
 import sys
 from typing import Optional
 
-from . import evaluate, hardness
-from .detect import brute_force_qw, decompose, hypertree_width
+from . import evaluate, hardness, oracle
+from .detect import decompose, hypertree_width
 from .errors import (
     DatabaseFormatError,
     DecompositionFormatError,
@@ -125,7 +125,7 @@ def cmd_eval(args) -> int:
     solve = evaluate.eval_boolean if boolean else evaluate.eval_full
     answer = solve(q, db, hd, args.k_cap)
     if args.brute:
-        brute = evaluate.brute_force_eval(q, db)
+        brute = oracle.brute_force_eval(q, db)
         if boolean:
             brute = bool(brute)
         if brute != answer:
@@ -193,9 +193,9 @@ def cmd_gen_hard(args) -> int:
 def cmd_oracle(args) -> int:
     q = parse_query(_read(args.query))
     if args.what == "qw":
-        return _answer(q, brute_force_qw(q, args.k) is not None, True)
+        return _answer(q, oracle.brute_force_qw(q, args.k) is not None, True)
     db = parse_database(_read(args.db))
-    return _answer(q, evaluate.brute_force_eval(q, db), q.is_boolean)
+    return _answer(q, oracle.brute_force_eval(q, db), q.is_boolean)
 
 
 def _parser() -> argparse.ArgumentParser:

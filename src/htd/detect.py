@@ -1,31 +1,21 @@
 """Deciding k-bounded hypertree width and acyclicity.
 
-Three engines are provided and must agree:
-
-* ``decompose``: a memoized top-down search over separator candidates that
-  also builds a witness decomposition in normal form; ``normalize_hd`` runs
-  the same search over the labels of the tree it is given,
-* ``fixpoint_decide``: a bottom-up evaluation of the decomposable-component
-  pairs, decision only,
-* ``brute_force_qw``: a complete but budgeted search over pure query
-  decompositions, used as the query-width oracle.
-
-``gyo_acyclic`` is an independent ear-removal acyclicity check.
+``decompose`` is a memoized top-down search over separator candidates that
+builds a witness decomposition in normal form; ``normalize_hd`` runs the
+same search over the labels of the tree it is given, ``hypertree_width``
+asks it for k = 1, 2, ... and ``is_acyclic`` for k = 1.  The oracles that
+check it are in ``oracle``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Optional
 
 from .components import _Index
-from .errors import InconclusiveError
 from .hypertree import (
     Hypertree,
     HtVertex,
     JoinTree,
-    QdVertex,
-    QueryDecomposition,
     complete_hd,
     hd_to_jointree,
     validate_nf,
@@ -266,222 +256,3 @@ def is_acyclic(q: ConjunctiveQuery) -> Optional[JoinTree]:
     if h is None:
         return None
     return hd_to_jointree(q, complete_hd(q, h))
-
-
-def gyo_acyclic(q: ConjunctiveQuery) -> bool:
-    """Ear removal: repeatedly drop solitary variables and covered edges.
-
-    Queue-based, linear in the total arity apart from the cover tests
-    (Tarjan & Yannakakis 1984).  An edge can lose a variable, and so become
-    covered or empty, only when one of its variables drops to a single
-    holder, so only then is that holder queued again.  A cover of e holds
-    every variable of e, so e is tested only against the holders of its
-    rarest variable.
-    """
-    edges: list[Optional[set[str]]] = [set(a.variables()) for a in q.body]
-    holders: dict[str, set[int]] = {}
-    for i, e in enumerate(edges):
-        for x in e:
-            holders.setdefault(x, set()).add(i)
-    left = len(edges)
-    queue = list(range(left))
-    while queue:
-        i = queue.pop()
-        e = edges[i]
-        if e is None:
-            continue
-        for x in [x for x in e if len(holders[x]) == 1]:
-            e.remove(x)
-            del holders[x]
-        if e:
-            rarest = min(e, key=lambda x: len(holders[x]))
-            if not any(j != i and e <= edges[j] for j in holders[rarest]):
-                continue
-        edges[i] = None
-        left -= 1
-        for x in e:
-            rest = holders[x]
-            rest.remove(i)
-            if len(rest) == 1:
-                queue.extend(rest)
-    return not left
-
-
-def fixpoint_decide(q: ConjunctiveQuery, k: int) -> bool:
-    """Bottom-up variant of the width decision; no witness is produced."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    idx = _Index(q)
-    if not idx.var_atoms:
-        return True
-    cands = idx.candidates(k)
-    # pairs (separator vars, component) stratified by component size
-    pairs = []
-    seps = {0, *cands}
-    for var_r in seps:
-        for comp in idx.components(var_r):
-            pairs.append((var_r, comp))
-    pairs.sort(key=lambda p: bin(p[1]).count("1"))
-    solved: set[tuple[int, int]] = set()
-    for var_r, comp in pairs:
-        if (var_r, comp) in solved:
-            continue
-        border = 0
-        for p in idx.atoms_of(comp):
-            border |= idx.atom_masks[p] & var_r
-        for var_s in cands:
-            if not var_s & comp:
-                continue
-            if border & ~var_s:
-                continue
-            if all(
-                (var_s, sub) in solved
-                for sub in idx.components(var_s)
-                if sub & comp
-            ):
-                solved.add((var_r, comp))
-                break
-    return all((0, comp) in solved for comp in idx.components(0))
-
-
-def _set_partitions(items: list):
-    """All partitions of the items into nonempty blocks, lazily: more blocks
-    first, and for each block count in the order of the plain recursion
-    (partitions of items[1:], each with items[0] put into every block in
-    turn, then alone in a new first block).  Blocks are built from the last
-    item to the first on a stack; a branch is dropped once it cannot end
-    with the block count being made."""
-    n = len(items)
-    for m in range(n, -1, -1):  # m = 0 yields only when there are no items
-        stack: list[tuple[int, list]] = [(n, [])]  # (items left, blocks)
-        while stack:
-            i, part = stack.pop()
-            if not i:
-                yield part
-                continue
-            i -= 1
-            x, b = items[i], len(part)
-            if b < m:  # x alone in a new block comes after x in each block
-                stack.append((i, [[x]] + part))
-            if m <= b + i:
-                stack.extend(
-                    (i, part[:j] + [[x] + part[j]] + part[j + 1 :])
-                    for j in reversed(range(b))
-                )
-
-
-def brute_force_qw(
-    q: ConjunctiveQuery, k: int, budget: int = 500_000
-) -> Optional[QueryDecomposition]:
-    """Complete search for a pure query decomposition of width <= k.
-
-    Returns a witness decomposition or None; raises InconclusiveError when
-    the step budget runs out before the search is exhausted.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not q.body:
-        return QueryDecomposition([QdVertex(0, None, frozenset())])
-    if k == 0:
-        return None
-    atom_vars = [a.variables() for a in q.body]
-    all_atoms = frozenset(range(len(q.body)))
-    fuel = [budget]
-    memo: dict[tuple[frozenset[int], frozenset[int]], Optional[tuple]] = {}
-
-    def outside_vars(f: frozenset[int]) -> frozenset[str]:
-        out: set[str] = set()
-        for i in all_atoms - f:
-            out |= atom_vars[i]
-        return frozenset(out)
-
-    def grouped(f: frozenset[int], sep_vars: frozenset[str]) -> list[frozenset[int]]:
-        """Atoms of f clustered by shared variables outside the separator."""
-        groups: list[tuple[set[int], set[str]]] = []
-        for i in sorted(f):
-            vs = atom_vars[i] - sep_vars
-            rest, hit = [], []
-            for g in groups:  # the groups share no variable: i joins those it meets
-                (hit if g[1] & vs else rest).append(g)
-            # merge into the largest group met, so no atom moves often
-            if len(hit) > 1:
-                hit.sort(key=lambda g: len(g[0]))
-            ga, gv = hit.pop() if hit else (set(), set())
-            for oa, ov in hit:
-                ga |= oa
-                gv |= ov
-            ga.add(i)
-            gv |= vs
-            rest.append((ga, gv))
-            groups = rest
-        return [frozenset(ga) for ga, _ in groups]
-
-    def qdec(f: frozenset[int], r: frozenset[int]):
-        """Witness subtree (label, child witnesses) covering exactly f, or
-        None; yields each (block, separator) it needs and receives that
-        block's witness by send."""
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise InconclusiveError("query-width search budget exhausted")
-        fvars = frozenset().union(*(atom_vars[i] for i in f))
-        boundary = fvars & outside_vars(f)
-        pool = sorted(f | r)
-        for size in range(1, k + 1):
-            for s in combinations(pool, size):
-                sset = frozenset(s)
-                if not sset & f:
-                    continue
-                svars = frozenset().union(*(atom_vars[i] for i in s))
-                if not boundary <= svars:
-                    continue
-                remaining = f - sset
-                if not remaining:
-                    return (sset, [])
-                groups = grouped(remaining, svars)
-                for part in _set_partitions(groups):
-                    fuel[0] -= 1
-                    if fuel[0] < 0:
-                        raise InconclusiveError(
-                            "query-width search budget exhausted"
-                        )
-                    kids = []
-                    for block in part:
-                        w = yield (frozenset().union(*block), sset)
-                        if w is None:
-                            break
-                        kids.append(w)
-                    else:
-                        return (sset, kids)
-        return None
-
-    # drive a stack of qdec generators, so deep witnesses need no recursion
-    key = (all_atoms, frozenset())
-    stack: list = []
-    while True:
-        if key in memo:
-            w = memo[key]
-        else:
-            stack.append((key, qdec(*key)))
-            w = None  # a new generator starts on send(None)
-        while stack:
-            key, state = stack[-1]
-            try:
-                key = state.send(w)  # the next (block, separator) to solve
-                break
-            except StopIteration as done:
-                memo[key] = w = done.value
-                stack.pop()
-        else:
-            break
-    if w is None:
-        return None
-    verts: list[QdVertex] = []
-    todo = [(w, None)]  # preorder, children in witness order
-    while todo:
-        (label, kids), parent = todo.pop()
-        vid = len(verts)
-        verts.append(
-            QdVertex(vid, parent, frozenset(("atom", i) for i in sorted(label)))
-        )
-        todo.extend((child, vid) for child in reversed(kids))
-    return QueryDecomposition(verts)

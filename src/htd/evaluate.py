@@ -6,7 +6,6 @@ projected to the vertex variables.  The tree is then processed with semijoin
 passes (bottom-up for the Boolean answer; for full answers both directions,
 then one factorized upward pass that builds answer rows only at the root,
 in sorted order, as products of sorted lists).
-``brute_force_eval`` is an independent backtracking evaluator, the oracle.
 """
 
 from __future__ import annotations
@@ -355,41 +354,6 @@ def _product(factors: list, widths: list[int]) -> Iterable[tuple]:
         return factors[0]
     wrapped = [f if w > 1 else zip(f) for f, w in zip(factors, widths)]
     return map(sum, product(*wrapped), repeat(()))
-
-
-def brute_force_eval(q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]:
-    """Backtracking over body atoms; independent of any decomposition."""
-    if not _ground_atoms_hold(q, db):
-        return []
-    answers: set[tuple[str, ...]] = set()
-    atoms = [a for a in q.body if a.variables()]
-
-    # depth-first on an explicit stack, so long bodies need no recursion
-    stack: list[tuple[int, dict[str, str]]] = [(0, {})]
-    while stack:
-        i, env = stack.pop()
-        if i == len(atoms):
-            answers.add(
-                tuple(
-                    env[t.name] if t.is_variable else t.name
-                    for t in q.head.args
-                )
-            )
-            continue
-        a = atoms[i]
-        for t in db.tuples(a.relation):
-            if len(t) != len(a.args):
-                continue
-            local = dict(env)
-            for term, val in zip(a.args, t):
-                if term.is_variable:
-                    if local.setdefault(term.name, val) != val:
-                        break
-                elif term.name != val:
-                    break
-            else:
-                stack.append((i + 1, local))
-    return sorted(answers)
 
 
 def answer_lines(q: ConjunctiveQuery, rows: Iterable[tuple[str, ...]]) -> Iterator[str]:

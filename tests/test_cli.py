@@ -398,7 +398,7 @@ def test_eval_brute_mismatch_exits_3(
     _, put = files
     q = put("q.txt", text)
     db = put("db.txt", "r(a,b).")
-    monkeypatch.setattr("htd.evaluate.brute_force_eval", lambda q, db: wrong)
+    monkeypatch.setattr("htd.oracle.brute_force_eval", lambda q, db: wrong)
     assert run(["eval", q, db, "--brute"] + flags) == 3
     out = capsys.readouterr()
     assert out.out == ""

@@ -13,7 +13,7 @@ from htd import (
     normalize_hd,
     parse_query,
 )
-from htd.detect import _set_partitions
+from htd.oracle import _set_partitions
 from htd.errors import InconclusiveError
 from htd.hypertree import (
     Hypertree,

@@ -84,8 +84,12 @@ def test_variable_free_atom_arity_mismatch_rejected():
             eval_boolean(q, db)
         with pytest.raises(DatabaseFormatError):
             eval_full(q, db)
+        with pytest.raises(DatabaseFormatError):
+            brute_force_eval(q, db)
     with pytest.raises(DatabaseFormatError):
         eval_full(parse_query("ans(X) <- r(a,b), s(X)."), db)
+    with pytest.raises(DatabaseFormatError):
+        brute_force_eval(parse_query("ans(X) <- r(a,b), s(X)."), db)
 
 
 def test_constants_and_repeated_variables():
