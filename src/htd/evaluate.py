@@ -6,12 +6,17 @@ projected to the vertex variables.  The tree is then processed with semijoin
 passes (bottom-up for the Boolean answer; for full answers both directions,
 then one factorized upward pass that builds answer rows only at the root,
 in sorted order, as products of sorted lists).
+
+Every table holds the ranks of the constants in the database's sorted
+constant table (``Database.encoding``), which sort as the constants do.
+Answers are decoded at the root only, list by list before the products, and
+``shrink`` decodes its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, compress, product, repeat, starmap
 from operator import and_, attrgetter, getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Optional
@@ -22,7 +27,7 @@ from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd
 from .model import Atom, ConjunctiveQuery, Database, format_constant, variable
 
 Schema = tuple[str, ...]
-Rows = Collection[tuple[str, ...]]
+Rows = Collection[tuple[int, ...]]  # ranks of constants
 
 
 def _keys(schema: Schema, cols: Iterable[str], rows: Rows) -> Iterator:
@@ -51,24 +56,28 @@ def _check_arity(a: Atom, db: Database) -> None:
 
 
 def _atom_rows(a: Atom, db: Database) -> tuple[Schema, Rows]:
-    """Matching assignments: constants select, repeated variables equate."""
+    """Matching assignments over ranks: constants select (one the database
+    lacks has no rank and matches nothing), repeated variables equate."""
     _check_arity(a, db)
     schema = tuple(sorted(a.variables()))
-    tuples = db.tuples(a.relation)
+    enc = db.encoding
+    tuples = enc.relations.get(a.relation, frozenset())
     if set(map(len, tuples)) - {len(a.args)}:
         tuples = {t for t in tuples if len(t) == len(a.args)}
     names = tuple(t.name for t in a.args if t.is_variable)
     if len(names) == len(schema) == len(a.args):
         # distinct variables only: a fixed permutation of every tuple
         return _project(names, tuples, schema)
-    rows: set[tuple[str, ...]] = set()
+    terms = [(t.is_variable, t.name if t.is_variable else enc.rank.get(t.name))
+             for t in a.args]
+    rows: set[tuple[int, ...]] = set()
     for t in tuples:
-        env: dict[str, str] = {}
-        for term, val in zip(a.args, t):
-            if term.is_variable:
-                if env.setdefault(term.name, val) != val:
+        env: dict[str, int] = {}
+        for (is_variable, x), val in zip(terms, t):
+            if is_variable:
+                if env.setdefault(x, val) != val:
                     break
-            elif term.name != val:
+            elif x != val:
                 break
         else:
             rows.add(tuple(env[x] for x in schema))
@@ -98,6 +107,7 @@ class AcyclicInstance:
 def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
     """Turn (Q, DB) into an acyclic instance along any valid decomposition."""
     tables = _vertex_tables(q, h, db)
+    words = db.encoding.constants
     order = h.preorder()
     pos = {vid: i for i, vid in enumerate(order)}
     atoms = []
@@ -108,7 +118,7 @@ def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
         schema, rows = tables[vid]
         name = f"v{vid}"
         atoms.append(Atom(name, tuple(variable(x) for x in schema), i))
-        relations[name] = frozenset(rows)
+        relations[name] = frozenset(_decoded(words, rows))
         arities[name] = len(schema)
         parent = h.vertices[vid].parent
         jt.append(JtVertex(i, None if parent is None else pos[parent]))
@@ -252,7 +262,7 @@ def eval_full(
     hd = _prepare(q, hd, k_cap)
     rels = _vertex_tables(q, hd, db)
     _reduce(hd, rels, down=True)
-    cols, rows = _extend_up(hd, rels, head)
+    cols, rows = _extend_up(hd, rels, head, db.encoding.constants)
     # constants sit after the answer columns, named by their head position;
     # they and repeated columns keep rows sorted, a permuted head does not
     slots = cols + tuple(i for i, t in enumerate(q.head.args) if not t.is_variable)
@@ -278,7 +288,7 @@ def _reduce(hd: Hypertree, rels: dict, down: bool) -> None:
 
 
 def _extend_up(
-    hd: Hypertree, rels: dict, head: Schema
+    hd: Hypertree, rels: dict, head: Schema, words: tuple[str, ...]
 ) -> tuple[Schema, list[tuple[str, ...]]]:
     """The answers over fully reduced vertex tables, sorted, factorized
     (Olteanu and Zavodny, TODS 2015): each vertex below the root hands its
@@ -288,7 +298,9 @@ def _extend_up(
     that carry any; by HD2 each head variable has one owner.  Rows are built
     only at the root, group by group in order: a group meeting one key per
     child is the product of its own values and each child's sorted list
-    there, sorted and duplicate-free; else the sorted union of products."""
+    there, sorted and duplicate-free; else the sorted union of products.
+    The root spells each sorted list, union and group's own values through
+    words before the products, so no answer row is decoded by itself."""
     done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
     for vid in reversed(hd.preorder()):
         schema, rows = rels[vid]
@@ -303,7 +315,7 @@ def _extend_up(
         table: dict = {}
         if not kids:
             if p is None:
-                return cols, sorted(_project(schema, rows, own)[1])
+                return cols, _decoded(words, sorted(_project(schema, rows, own)[1]))
             for key, o in zip(keys, _keys(schema, own, rows)) if cols else ():
                 table.setdefault(key, set()).add(o)
         else:
@@ -325,14 +337,18 @@ def _extend_up(
                 for at in set().union(*unions)
             }
             if p is None:  # each list sorted once, per (child, key) or set of keys
-                lists = [{k: sorted(e) for k, e in t.items()} for t in tables if alone]
-                merged = {s: sorted(set().union(*map(ext_of.__getitem__, s)))
+                lists = [{k: _decoded(words, sorted(e), w == 1) for k, e in t.items()}
+                         for t, w in zip(tables, widths[len(own):]) if alone]
+                merged = {s: set().union(*map(ext_of.__getitem__, s))
                           for s in set(map(frozenset, unions))}
+                merged = {s: _decoded(words, sorted(e), joined[-1] == 1)
+                          for s, e in merged.items()}
                 order = sorted(groups)
+                spell = words.__getitem__
                 parts = (
-                    ([*zip(o), *map(getitem, lists, [*ats][0])], widths)
+                    ([*zip(map(spell, o)), *map(getitem, lists, [*ats][0])], widths)
                     if alone and len(ats) == 1
-                    else ([*zip(o), merged[frozenset(ats)]], joined)
+                    else ([*zip(map(spell, o)), merged[frozenset(ats)]], joined)
                     for o, ats in zip(order, map(groups.__getitem__, order))
                 )
                 return cols, list(chain.from_iterable(starmap(_product, parts)))
@@ -343,6 +359,14 @@ def _extend_up(
                 )
         done[vid] = cols, conn, table
     return (), []
+
+
+def _decoded(words: tuple[str, ...], values: Iterable, bare: bool = False) -> list:
+    """Rank tuples, or bare ranks, spelled as constants in the same order."""
+    spell = words.__getitem__
+    if bare:
+        return list(map(spell, values))
+    return list(map(tuple, map(map, repeat(spell), values)))
 
 
 def _product(factors: list, widths: list[int]) -> Iterable[tuple]:
@@ -357,10 +381,12 @@ def _product(factors: list, widths: list[int]) -> Iterable[tuple]:
 
 
 def answer_lines(q: ConjunctiveQuery, rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
-    """Each answer as a line ``ans(c1,...,cn).`` using the head relation."""
+    """Each answer as a line ``ans(c1,...,cn).`` using the head relation;
+    each distinct constant is formatted once."""
     rel = q.head.relation
+    spell = cache(format_constant)
     for row in rows:
-        yield f"{rel}({','.join(map(format_constant, row))}).\n" if row else f"{rel}.\n"
+        yield f"{rel}({','.join(map(spell, row))}).\n" if row else f"{rel}.\n"
 
 
 def format_answers(q: ConjunctiveQuery, rows: list[tuple[str, ...]]) -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from .errors import DatabaseFormatError, QuerySyntaxError
@@ -100,17 +102,37 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
+class Encoding:
+    """An order-preserving dictionary of a database's constants (Binnig,
+    Hildenbrand, Faerber, SIGMOD 2009): constant i of the sorted table has
+    rank i, so ranks compare as their constants do."""
+
+    constants: tuple[str, ...]  # sorted; rank i spells constants[i]
+    rank: dict[str, int]
+    relations: dict[str, frozenset[tuple[int, ...]]]  # each fact as ranks
+
+
+@dataclass(frozen=True)
 class Database:
     relations: dict[str, frozenset[tuple[str, ...]]]
     arities: dict[str, int] = field(default_factory=dict)
 
+    @cached_property
+    def encoding(self) -> Encoding:
+        """Built on first use, once; not a field, so == and repr ignore it."""
+        facts = chain.from_iterable(self.relations.values())
+        constants = tuple(sorted(set(chain.from_iterable(facts))))
+        rank = dict(zip(constants, range(len(constants))))
+        codes = repeat(rank.__getitem__)
+        relations = {
+            r: frozenset(map(tuple, map(map, codes, ts)))
+            for r, ts in self.relations.items()
+        }
+        return Encoding(constants, rank, relations)
+
     @property
     def universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for tuples in self.relations.values():
-            for t in tuples:
-                out.update(t)
-        return frozenset(out)
+        return frozenset(self.encoding.constants)
 
     def tuples(self, relation: str) -> frozenset[tuple[str, ...]]:
         return self.relations.get(relation, frozenset())

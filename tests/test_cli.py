@@ -332,6 +332,19 @@ def test_eval_output_quotes_constants(files, capsys):
     assert capsys.readouterr().out == "ans('X',e).\nans('a b','c,d').\n"
 
 
+def test_eval_output_repeats_quoted_constants(files, capsys):
+    # one constant in several rows and columns is spelled the same each time
+    _, put = files
+    q = put("q.txt", "ans(X,Y,X) <- r(X,Y), s(Y).")
+    db = put(
+        "db.txt", "r('a b',c). r('a b','D'). r(e,'a b'). s(c). s('D'). s('a b')."
+    )
+    assert run(["eval", q, db]) == 0
+    assert capsys.readouterr().out == (
+        "ans('a b','D','a b').\nans('a b',c,'a b').\nans(e,'a b',e).\n"
+    )
+
+
 def test_eval_with_hd_file(files, capsys):
     tmp, put = files
     q = put("q.txt", Q1_TEXT)

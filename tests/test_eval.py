@@ -406,6 +406,11 @@ ROOT_SHAPES = {
 }
 
 
+# String order differs from numeric and length order here: '10' < '9' < 'Zed'
+# < 'a b' < 'ab' < 'b' < 'é' < '日'
+RANKED = ["9", "10", "b", "ab", "a b", "Zed", "é", "日"]
+
+
 @pytest.mark.parametrize("shape", sorted(ROOT_SHAPES))
 def test_eval_full_root_shapes_match_brute_force(shape):
     text, vertices = ROOT_SHAPES[shape]
@@ -415,19 +420,63 @@ def test_eval_full_root_shapes_match_brute_force(shape):
         for vid, parent, chi, lam in vertices
     )
     assert validate_hd(q, hd).valid
+    for consts in (CONSTS, RANKED):
+        answered = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            db = Database(
+                {
+                    rel: frozenset(
+                        (rng.choice(consts), rng.choice(consts)) for _ in range(10)
+                    )
+                    for rel in "rstu"
+                },
+                dict.fromkeys("rstu", 2),
+            )
+            expect = brute_force_eval(q, db)
+            assert eval_full(q, db, hd=hd) == expect
+            answered += bool(expect)
+        assert answered > 20
+
+
+def _check_over_ranks(q, db, hd=None):
+    want = brute_force_eval(q, db)
+    got = eval_full(q, db, hd=hd)
+    assert got == want == sorted(got), str(q)
+    assert all(type(row) is tuple and all(type(c) is str for c in row) for row in got)
+    assert eval_boolean(q, db, hd=hd) == bool(want), str(q)
+    return want
+
+
+def test_eval_over_ranks_keeps_string_order():
+    rng = random.Random(27)
+    # "gone" is a query constant that no database holds
+    q_consts = ["10", "9", "a b", "é", "gone"]
     answered = 0
-    for seed in range(30):
-        rng = random.Random(seed)
-        db = Database(
-            {
-                rel: frozenset(
-                    (rng.choice(CONSTS), rng.choice(CONSTS)) for _ in range(10)
-                )
-                for rel in "rstu"
-            },
-            dict.fromkeys("rstu", 2),
+    for _ in range(250):
+        q = util.rand_query(
+            rng, max_atoms=4, max_vars=4, consts=q_consts, head_vars=True,
+            consistent_arity=True,
         )
-        expect = brute_force_eval(q, db)
-        assert eval_full(q, db, hd=hd) == expect
-        answered += bool(expect)
+        head = list(q.head.args)
+        if head and rng.random() < 0.3:
+            head.insert(rng.randint(0, len(head)), rng.choice(head))
+        if rng.random() < 0.3:
+            head.insert(rng.randint(0, len(head)), constant(rng.choice(RANKED)))
+        q = ConjunctiveQuery(Atom("ans", tuple(head)), q.body)
+        answered += len(_check_over_ranks(q, util.rand_db(rng, q, RANKED, 8))) > 1
     assert answered > 20
+
+
+def test_encoding_is_built_once_and_outside_equality():
+    text = "r('10',9). r(9,'a b'). r('Zed','é'). s('a b'). s('é')."
+    db, twin = parse_database(text), parse_database(text)
+    q = parse_query("ans(X,Y) <- r(X,Y), s(Y).")
+    assert eval_full(q, db) == [("9", "a b"), ("Zed", "é")]
+    enc = db.encoding
+    assert eval_boolean(q, db) and eval_full(q, db)
+    assert db.encoding is enc
+    assert enc.constants == ("10", "9", "Zed", "a b", "é")
+    assert enc.relations["s"] == {(3,), (4,)}
+    assert db == twin and twin == db and repr(db) == repr(twin)
+    assert "encoding" not in vars(twin)

@@ -87,7 +87,12 @@ def reference_eval_full(q, db, hd=None, k_cap=5):
         return []
     head_vars = frozenset(t.name for t in q.head.args if t.is_variable)
     hd = _prepare(q, hd, k_cap)
-    rels = _vertex_tables(q, hd, db)
+    # the vertex tables hold ranks: spell them through the database's table
+    words = db.encoding.constants
+    rels = {
+        vid: (schema, {tuple(words[c] for c in row) for row in rows})
+        for vid, (schema, rows) in _vertex_tables(q, hd, db).items()
+    }
     order = hd.preorder()
     # full reducer: semijoin up, then down
     _semijoin_up(hd, order, rels)

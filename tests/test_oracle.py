@@ -55,6 +55,16 @@ def test_oracle_imports_no_fast_path():
     # static: hypertree imports _Index for its validators, so the modules
     # loaded at run time always include htd.components
     assert not _imported_names(SRC / "oracle.py") & FORBIDDEN
+    # brute_force_eval reads the string relations, never the rank encoding
+    read = set()
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    assert not read & {"encoding", "Encoding"}
 
 
 def test_search_and_evaluation_define_no_oracle():
