@@ -1,8 +1,10 @@
 """Decomposition-guided query evaluation.
 
-A width-k decomposition turns the query into an acyclic one: each vertex gets
-the join of its labeled atoms, and of every atom whose variables it covers,
-projected to the vertex variables.  The tree is then processed with semijoin
+A width-k decomposition turns the query into an acyclic one.  The tree is
+first contracted: a vertex whose variables lie inside a neighbour's adds no
+constraint, so it is merged into that neighbour.  Each vertex then gets the
+join of its labeled atoms, and of every atom whose variables it covers,
+projected to the vertex variables.  The tree is processed with semijoin
 passes (bottom-up for the Boolean answer; for full answers both directions,
 then one factorized upward pass that builds answer rows only at the root,
 in sorted order, as products of sorted lists).
@@ -23,7 +25,7 @@ from typing import Collection, Iterable, Iterator, Optional
 
 from .detect import hypertree_width
 from .errors import DatabaseFormatError, InconclusiveError
-from .hypertree import Hypertree, JoinTree, JtVertex, _require_hd
+from .hypertree import Hypertree, HtVertex, JoinTree, JtVertex, _require_hd
 from .model import Atom, ConjunctiveQuery, Database, format_constant, variable
 
 Schema = tuple[str, ...]
@@ -105,7 +107,9 @@ class AcyclicInstance:
 
 
 def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
-    """Turn (Q, DB) into an acyclic instance along any valid decomposition."""
+    """Turn (Q, DB) into an acyclic instance along any valid decomposition,
+    keeping one atom per vertex of h: unlike evaluation, it does not contract
+    the tree."""
     tables = _vertex_tables(q, h, db)
     words = db.encoding.constants
     order = h.preorder()
@@ -214,7 +218,44 @@ def _prepare(
         hd = found[1]
     else:
         _require_hd(q, hd)
-    return hd
+    return _contract(hd)
+
+
+def _contract(h: Hypertree) -> Hypertree:
+    """h with every vertex whose chi lies inside a neighbour's merged away,
+    children first: into its parent if the parent's chi holds it, else into
+    the first such child, which takes over its parent link and its other
+    children.  Absorbers keep their own chi and lam, so every atom whose
+    variables a merged vertex covered is covered by its absorber, and each
+    variable's holders stay connected; by that connectedness no kept vertex
+    has a chi inside a neighbour's.  The result may break HD4, so it serves
+    evaluation only; h itself is returned if nothing merges."""
+    chi = {v.id: v.chi for v in h}
+    parent = dict(h.parent)
+    kids = {vid: dict.fromkeys(cs) for vid, cs in h.children.items()}
+    for vid in reversed(h._topdown):
+        p, rest = parent[vid], kids[vid]
+        if p is not None and chi[vid] <= chi[p]:
+            into = p
+        else:
+            into = next((c for c in rest if chi[vid] <= chi[c]), None)
+            if into is None:
+                continue
+            del rest[into]
+            parent[into] = p
+            if p is not None:
+                kids[p][into] = None
+        if p is not None:
+            del kids[p][vid]
+        for c in rest:
+            parent[c] = into
+        kids[into].update(rest)
+        del parent[vid]
+    if len(parent) == len(h):
+        return h
+    return Hypertree(
+        HtVertex(vid, p, chi[vid], h.vertices[vid].lam) for vid, p in parent.items()
+    )
 
 
 def _ground_atoms_hold(q: ConjunctiveQuery, db: Database) -> bool:

@@ -356,6 +356,26 @@ def test_eval_with_hd_file(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_eval_along_a_nested_hd_file(files, capsys):
+    # the triangle's width-2 witness, {A,B} over {A,B,C}, plus a leaf whose
+    # chi {A} lies inside its parent's: evaluation contracts both away
+    tmp, put = files
+    q = put("q.txt", "ans(A,C) <- r(A,B), s(B,C), t(C,A).")
+    db = put("db.txt", "r(a,b). r(b,c). r(c,a). s(b,c). s(c,a). s(a,b). t(c,a).")
+    out = str(tmp / "hd.json")
+    assert run(["decompose", q, "2", "-o", out]) == 0
+    doc = json.loads(open(out).read())
+    inner = max(doc["nodes"], key=lambda n: len(n["chi"]))
+    doc["nodes"].append({"id": 9, "parent": inner["id"], "chi": ["A"], "lambda": [0]})
+    nested = put("nested.json", json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", q, db]) == 0
+    plain = capsys.readouterr().out
+    assert plain
+    assert run(["eval", q, db, "--hd", nested, "--brute"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_eval_arity_mismatch_exits_2(files, capsys):
     _, put = files
     db = put("db.txt", "r(a,b,c). s(c).")

@@ -314,6 +314,74 @@ def test_eval_on_shapes_with_repeated_relations(shape, seed):
     assert eval_boolean(q, db) == bool(expect)
 
 
+def _nested(rng, q, h, extra):
+    """h with up to extra vertices inserted one at a time, each with a chi
+    inside the chi of the vertex u it is placed next to: a leaf under u with
+    u's lambda, or a new parent of u with u's or u's parent's lambda, whose
+    chi also holds every variable u shares with its old parent.  An
+    insertion that leaves no valid decomposition is dropped."""
+    for _ in range(extra):
+        u = rng.choice(list(h))
+        p = u.parent
+        chi = frozenset(x for x in u.chi if rng.random() < 0.6)
+        w = max(h.vertices) + 1
+        if rng.random() < 0.5:
+            verts = [*h, HtVertex(w, u.id, chi, u.lam)]
+        else:
+            above = frozenset() if p is None else h.vertices[p].chi
+            lam = rng.choice([u.lam, u.lam if p is None else h.vertices[p].lam])
+            verts = [
+                HtVertex(v.id, w, v.chi, v.lam) if v.id == u.id else v for v in h
+            ] + [HtVertex(w, p, chi | (above & u.chi), lam)]
+        nested = Hypertree(verts)
+        if validate_hd(q, nested).valid:
+            h = nested
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_contraction_invariants(seed):
+    rng = random.Random(seed)
+    q = util.rand_query(rng, consts=CONSTS, head_vars=True, consistent_arity=True)
+    if not q.variables():
+        return
+    db = util.rand_db(rng, q, CONSTS)
+    expect = brute_force_eval(q, db)
+    k = 1
+    while (witness := decompose(q, k)) is None:
+        k += 1
+    for tree in (witness, trivial_hd(q)):
+        h = _nested(rng, q, tree, rng.randint(1, 4))
+        contracted = evaluate._contract(h)
+        chi = {v.id: v.chi for v in contracted}
+        for v in contracted:
+            near = [contracted.parent[v.id], *contracted.children[v.id]]
+            assert not any(v.chi <= chi[u] for u in near if u is not None)
+            assert (v.chi, v.lam) == (h.vertices[v.id].chi, h.vertices[v.id].lam)
+        assert all(any(a.variables() <= c for c in chi.values()) for a in q.body)
+        assert contracted._disconnected(chi) == []
+        assert eval_full(q, db, hd=h) == expect
+        assert eval_boolean(q, db, hd=h) == bool(expect)
+
+
+@pytest.mark.parametrize("shape, tables", [("triangle", 1), ("cycle4", 1), ("chain", 4)])
+def test_contracted_witness_tables(monkeypatch, shape, tables):
+    # the triangle's search witness nests {A,B} in {A,B,C}, the 4-cycle's
+    # {A,B} in {A,B,C} in {A,B,C,D}: 2 and 3 vertices, one table each after
+    # contraction; the chain's 4 vertices nest nowhere
+    body = ", ".join(f"e{i}({x},{y})" for i, (x, y) in enumerate(SHAPES[shape]))
+    q = parse_query(f"ans(A) <- {body}.")
+    db = _seeded_db([f"e{i}" for i in range(len(SHAPES[shape]))], 20, 5, seed=1)
+    built = []
+    join = evaluate._generic_join
+    monkeypatch.setattr(
+        evaluate, "_generic_join", lambda parts: built.append(1) or join(parts)
+    )
+    assert eval_full(q, db) == brute_force_eval(q, db)
+    assert len(built) == tables
+
+
 def test_eval_full_builds_no_extensions_for_dangling_rows(monkeypatch):
     # p pairs each of n values xi with z, s pairs xi with yi, and a and b
     # give each yi m values; t keeps only x0.  The full reducer, up then
