@@ -275,8 +275,10 @@ def atoms_of_component(q: ConjunctiveQuery, c: Component) -> frozenset[Atom]:
 def component_of(
     q: ConjunctiveQuery, v: Iterable[str], var: str
 ) -> Component | None:
-    """The [V]-component containing ``var``, or None if var lies in V."""
+    """The [V]-component containing var; None if var is in V, ValueError if not in Q."""
     for c in v_components(q, v):
         if var in c:
             return c
+    if var not in q.variables():
+        raise ValueError(f"unknown variable {var}")
     return None

@@ -9,7 +9,7 @@ each violation names its condition and a witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .components import _Index
@@ -241,7 +241,6 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
-    data: dict = field(default_factory=dict, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -368,23 +367,20 @@ def is_complete(q: ConjunctiveQuery, h: Hypertree) -> bool:
 
 
 def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
-    """Check the three normal-form conditions; records treecomp per vertex."""
+    """Check the three normal-form conditions, splitting chi(T_r) - chi(r) per r."""
     _require_hd(q, h)
     idx = _Index(q)
     below = h._chi_below(idx)
     violations = []
-    tc: dict[int, frozenset[str]] = {}
-    if h.root_id is not None:
-        tc[h.root_id] = q.variables()
     for s in h:
         if s.parent is None:
             continue
         r = h.vertices[s.parent]
-        # condition 2 puts every chi(r) variable of T_s into chi(s), so the
-        # only [chi(r)]-component that can match T_s is chi(T_s) - chi(r)
+        # condition 2 puts T_s's chi(r) variables in chi(s): only chi(T_s) - chi(r)
+        # can match.  Conditions 1-2 cover every atom meeting chi(T_r) - chi(r)
+        # inside T_r, so that part is a union of components: split it alone.
         chi_r = idx.mask(r.chi)
-        match = below[s.id] & ~chi_r
-        if match not in idx.components(chi_r):
+        if below[s.id] & ~chi_r not in idx.components(chi_r, below[r.id]):
             violations.append(
                 Violation(
                     "NF1",
@@ -392,12 +388,10 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                     "no unique [parent]-component matching the subtree",
                 )
             )
-        else:
-            tc[s.id] = idx.unmask(match)
-            if not (s.chi & tc[s.id]):
-                violations.append(
-                    Violation("NF2", s.id, "chi disjoint from its component")
-                )
+        elif s.chi <= r.chi:  # chi(s) meets its component in chi(s) - chi(r)
+            violations.append(
+                Violation("NF2", s.id, "chi disjoint from its component")
+            )
         bad = (atoms_vars(q, s.lam) & r.chi) - s.chi
         if bad:
             violations.append(
@@ -405,17 +399,21 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                     "NF3", s.id, f"parent chi variables {sorted(bad)} missing"
                 )
             )
-    return ValidationReport(tuple(violations), data={"treecomp": tc})
+    return ValidationReport(tuple(violations))
 
 
 def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
-    """var(Q) at the root, else the unique matching [parent]-component."""
+    """var(Q) at the root, else its [parent]-component chi(T_vid) - chi(parent)."""
     report = validate_nf(q, h)
     if not report.valid:
         raise InvalidDecompositionError(
             f"not in normal form: {report.violations[0]}"
         )
-    return report.data["treecomp"][vid]
+    p = h.parent[vid]
+    if p is None:
+        return q.variables()
+    idx = _Index(q)
+    return idx.unmask(h._chi_below(idx)[vid] & ~idx.mask(h.vertices[p].chi))
 
 
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:

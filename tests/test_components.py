@@ -67,6 +67,13 @@ def test_component_of(triangle):
     assert component_of(triangle, {"Y"}, "Y") is None
 
 
+def test_component_of_unknown_variable(triangle):
+    # the same error as v_adjacent, also when the name is in V
+    for v in (set(), {"Q9"}):
+        with pytest.raises(ValueError, match="unknown variable Q9"):
+            component_of(triangle, v, "Q9")
+
+
 def test_representative_is_least(q1):
     for c in v_components(q1, set()):
         assert c.representative == min(c.members)

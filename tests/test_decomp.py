@@ -11,6 +11,7 @@ from htd import (
     normalize_hd,
     parse_query,
 )
+from htd.components import _Index
 from htd.hypertree import (
     Hypertree,
     HtVertex,
@@ -213,6 +214,31 @@ def test_fixture_hd_is_nf(q1, q1_hd):
     assert report.valid
     assert treecomp(q1, q1_hd, 0) == q1.variables()
     assert treecomp(q1, q1_hd, 1) == frozenset({"R"})
+
+
+@pytest.mark.parametrize("family", ["path", "tree"])
+def test_nf_splits_only_below_each_parent(family, monkeypatch):
+    """validate_nf splits no more than chi(T_r) - chi(r) at each parent r.
+    Splitting all of var(Q) - chi(r) there instead hands pieces about 3.7
+    times the bound on this path and 29 times it on this tree."""
+    q = util.family_query(family, 300, random.Random(7))
+    h = decompose(q, 1)
+    idx = _Index(q)
+    below = h._chi_below(idx)
+    bound = sum(
+        (below[v.id] & ~idx.mask(v.chi)).bit_count() for v in h if h.children[v.id]
+    )
+    split = []
+    every_var = (1 << len(idx.vars)) - 1
+    pieces = _Index.pieces
+
+    def counted(self, free):
+        split.append((free & every_var).bit_count())
+        return pieces(self, free)
+
+    monkeypatch.setattr(_Index, "pieces", counted)
+    assert validate_nf(q, h).valid
+    assert 0 < sum(split) <= bound
 
 
 def test_nf_rejects_redundant_child(q1, q1_hd):

@@ -7,7 +7,8 @@ chi(T_v) is the union of chi over a walk of v's subtree; a cover is any
 vertex whose labels contain the atom.  The library answers the same
 questions from one inversion of the labels and one bottom-up bitmask pass,
 and must report the same violations, in the same order with the same
-witnesses, and the same treecomp data, completions and completeness.
+witnesses, the same completions and completeness, and, for a tree in
+normal form, the same treecomp at every vertex.
 """
 
 import random
@@ -34,6 +35,7 @@ from htd.hypertree import (
     complete_hd,
     hd_to_jointree,
     is_complete,
+    treecomp,
     validate_hd,
     validate_jointree,
     validate_nf,
@@ -169,7 +171,16 @@ def ref_validate_nf(q, h):
             out.append(
                 Violation("NF3", s.id, f"parent chi variables {sorted(bad)} missing")
             )
-    return tuple(out), tc
+    return tuple(out), None if out else tc
+
+
+def nf_treecomps(q, h):
+    """validate_nf's violations and, for a tree in normal form, treecomp at
+    every vertex, as ref_validate_nf returns them."""
+    report = validate_nf(q, h)
+    if not report.valid:
+        return report.violations, None
+    return report.violations, {v.id: treecomp(q, h, v.id) for v in h}
 
 
 def ref_is_complete(q, h):
@@ -200,7 +211,7 @@ def ref_complete_hd(q, h):
 
 def outcome(fn, *args):
     """fn's result in comparable form, or the error it raised; a report is
-    (violations, treecomp data or None), as the references return it."""
+    (violations, None), as the references return it."""
     try:
         out = fn(*args)
     except HtdError as e:
@@ -208,16 +219,18 @@ def outcome(fn, *args):
     if isinstance(out, Hypertree):
         return list(out)
     if hasattr(out, "violations"):
-        return out.violations, out.data.get("treecomp")
+        return out.violations, None
     return out
 
 
 def same(seen, got, want):
-    """Assert equal outcomes; count the conditions violated."""
+    """Assert equal outcomes; count the conditions violated and the treecomp
+    maps compared."""
     out = outcome(*got)
     assert out == outcome(*want), got
     if isinstance(out, tuple) and isinstance(out[0], tuple):
         seen.update(v.condition for v in out[0])
+        seen["treecomps"] += out[1] is not None
 
 
 # --- corpus -----------------------------------------------------------------
@@ -308,7 +321,7 @@ def check_seed(seed):
         for tree in [verts] + hd_mutants(rng, q, verts):
             h = Hypertree(tree)
             same(seen, (validate_hd, q, h), (ref_validate_hd, q, h))
-            same(seen, (validate_nf, q, h), (ref_validate_nf, q, h))
+            same(seen, (nf_treecomps, q, h), (ref_validate_nf, q, h))
             same(seen, (is_complete, q, h), (ref_is_complete, q, h))
             same(seen, (complete_hd, q, h), (ref_complete_hd, q, h))
             # the same tree as a query decomposition of lam atoms and chi
@@ -341,6 +354,7 @@ def test_matches_reference_on_seeded_corpus():
     for seed in range(40):
         seen += check_seed(seed)
     assert seen["trees"] > 3000
+    assert seen["treecomps"] > 800
     # the corpus violates every condition but JT0, which reparenting keeps
     assert set(seen) >= {"HD1", "HD2", "HD3", "HD4", "NF1", "NF2", "NF3"}
     assert set(seen) >= {"QD1", "QD2", "QD3", "JT1"}
@@ -352,3 +366,4 @@ def test_matches_reference_on_larger_corpus():
     for seed in range(40, 1040):
         seen += check_seed(seed)
     assert seen["trees"] > 25000
+    assert seen["treecomps"] > 20000
