@@ -58,6 +58,7 @@ from .hypertree import (
     qd_to_hd,
     qd_to_json,
     treecomp,
+    treecomps,
     validate_hd,
     validate_jointree,
     validate_nf,

@@ -13,12 +13,21 @@ Every table holds the ranks of the constants in the database's sorted
 constant table (``Database.encoding``), which sort as the constants do.
 Answers are decoded at the root only, list by list before the products, and
 ``shrink`` decodes its tables.
+
+``eval_boolean``, ``eval_full`` and ``shrink`` pause Python's cyclic garbage
+collector for the call (``_collector_paused``).  Their tuples, sets, lists
+and dicts form no reference cycles, so reference counting frees every object
+they drop and the collector has nothing to find; left on, it would only
+rescan the growing tables each time their allocations pass its threshold.
+Nothing waits for it, so memory is unchanged, and a caller that disabled the
+collector keeps it disabled.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from itertools import chain, compress, product, repeat, starmap
 from operator import and_, attrgetter, getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Optional
@@ -30,6 +39,23 @@ from .model import Atom, ConjunctiveQuery, Database, format_constant, variable
 
 Schema = tuple[str, ...]
 Rows = Collection[tuple[int, ...]]  # ranks of constants
+
+
+def _collector_paused(f):
+    """f with the cyclic garbage collector disabled for the call and enabled
+    again however it ends; if it was off already, f runs as it is."""
+
+    @wraps(f)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return f(*args, **kwargs)
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _keys(schema: Schema, cols: Iterable[str], rows: Rows) -> Iterator:
@@ -106,6 +132,7 @@ class AcyclicInstance:
     tree: JoinTree
 
 
+@_collector_paused
 def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
     """Turn (Q, DB) into an acyclic instance along any valid decomposition,
     keeping one atom per vertex of h: unlike evaluation, it does not contract
@@ -270,6 +297,7 @@ def _ground_atoms_hold(q: ConjunctiveQuery, db: Database) -> bool:
     )
 
 
+@_collector_paused
 def eval_boolean(
     q: ConjunctiveQuery,
     db: Database,
@@ -287,6 +315,7 @@ def eval_boolean(
     return bool(rels[hd.root_id][1])
 
 
+@_collector_paused
 def eval_full(
     q: ConjunctiveQuery,
     db: Database,

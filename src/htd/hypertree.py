@@ -402,18 +402,28 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
-    """var(Q) at the root, else its [parent]-component chi(T_vid) - chi(parent)."""
+def treecomps(q: ConjunctiveQuery, h: Hypertree) -> dict[int, frozenset[str]]:
+    """Every vertex's treecomp: var(Q) at the root, else its [parent]-component
+    chi(T_v) - chi(parent).  One validate_nf call, then one bottom-up pass;
+    raises InvalidDecompositionError unless h is in normal form."""
     report = validate_nf(q, h)
     if not report.valid:
         raise InvalidDecompositionError(
             f"not in normal form: {report.violations[0]}"
         )
-    p = h.parent[vid]
-    if p is None:
-        return q.variables()
     idx = _Index(q)
-    return idx.unmask(h._chi_below(idx)[vid] & ~idx.mask(h.vertices[p].chi))
+    below = h._chi_below(idx)
+    return {
+        v.id: q.variables() if v.parent is None
+        else idx.unmask(below[v.id] & ~idx.mask(h.vertices[v.parent].chi))
+        for v in h
+    }
+
+
+def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
+    """var(Q) at the root, else its [parent]-component chi(T_vid) - chi(parent):
+    treecomps(q, h)[vid]."""
+    return treecomps(q, h)[vid]
 
 
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:

@@ -27,7 +27,7 @@ from htd.hypertree import (
     Hypertree,
     HtVertex,
     qd_to_hd,
-    treecomp,
+    treecomps,
     validate_hd,
     validate_nf,
     validate_qd,
@@ -171,8 +171,9 @@ def _components_within(q, sep, region):
 
 
 def _vertex_component_equivalence(q, h):
+    comps = treecomps(q, h)
     for v in h:
-        tc = treecomp(q, h, v.id)
+        tc = comps[v.id]
         lam_vars = frozenset().union(
             *(q.body[i].variables() for i in v.lam)
         ) if v.lam else frozenset()

@@ -11,6 +11,7 @@ from htd import (
     normalize_hd,
     parse_query,
 )
+from htd import hypertree
 from htd.components import _Index
 from htd.hypertree import (
     Hypertree,
@@ -29,6 +30,7 @@ from htd.hypertree import (
     qd_to_hd,
     qd_to_json,
     treecomp,
+    treecomps,
     validate_hd,
     validate_jointree,
     validate_nf,
@@ -214,6 +216,25 @@ def test_fixture_hd_is_nf(q1, q1_hd):
     assert report.valid
     assert treecomp(q1, q1_hd, 0) == q1.variables()
     assert treecomp(q1, q1_hd, 1) == frozenset({"R"})
+    assert treecomps(q1, q1_hd) == {0: q1.variables(), 1: frozenset({"R"})}
+
+
+def test_treecomps_validates_once(monkeypatch):
+    """The whole map costs one validate_nf, not one per vertex."""
+    q = util.family_query("path", 300, random.Random(7))
+    h = decompose(q, 1)
+    calls = []
+    real = hypertree.validate_nf
+    monkeypatch.setattr(hypertree, "validate_nf", lambda *a: calls.append(a) or real(*a))
+    comps = treecomps(q, h)
+    assert len(calls) == 1
+    assert comps[h.root_id] == q.variables()
+    # chi(T_v) - chi(parent), read off the subtree's own vertices
+    for v in h:
+        if v.parent is not None:
+            assert comps[v.id] == frozenset().union(
+                *(h.vertices[u].chi for u in h.subtree_ids(v.id))
+            ) - h.vertices[v.parent].chi
 
 
 @pytest.mark.parametrize("family", ["path", "tree"])

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+from contextlib import contextmanager
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -479,8 +482,18 @@ ROOT_SHAPES = {
 RANKED = ["9", "10", "b", "ab", "a b", "Zed", "é", "日"]
 
 
+@pytest.fixture
+def frozen_heap():
+    """Everything alive now moved out of the collector's reach for the test,
+    so each gc.collect() in it scans only what the test made."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
 @pytest.mark.parametrize("shape", sorted(ROOT_SHAPES))
-def test_eval_full_root_shapes_match_brute_force(shape):
+def test_eval_full_root_shapes_match_brute_force(shape, frozen_heap):
     text, vertices = ROOT_SHAPES[shape]
     q = parse_query(text)
     hd = Hypertree(
@@ -502,9 +515,40 @@ def test_eval_full_root_shapes_match_brute_force(shape):
                 dict.fromkeys("rstu", 2),
             )
             expect = brute_force_eval(q, db)
-            assert eval_full(q, db, hd=hd) == expect
+            assert _acyclic(eval_full, q, db, hd=hd) == expect
+            assert _acyclic(eval_boolean, q, db) == bool(expect)
             answered += bool(expect)
         assert answered > 20
+
+
+@contextmanager
+def _collector(enabled):
+    """The cyclic garbage collector on or off inside the block, and back as
+    it was after it."""
+    was = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def _acyclic(f, *args, **kwargs):
+    """f(*args, **kwargs), asserting that the call leaves no reference cycle
+    behind: with the collector off around it, gc.collect() straight after
+    finds nothing unreachable.  Evaluation pauses the collector on the
+    premise that it never does."""
+    gc.collect()
+    with _collector(False):
+        out = f(*args, **kwargs)
+        assert gc.collect() == 0, f.__name__
+    return out
 
 
 def _check_over_ranks(q, db, hd=None):
@@ -548,3 +592,74 @@ def test_encoding_is_built_once_and_outside_equality():
     assert enc.relations["s"] == {(3,), (4,)}
     assert db == twin and twin == db and repr(db) == repr(twin)
     assert "encoding" not in vars(twin)
+
+
+# --- the paused collector ---------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_eval_leaves_the_collector_as_it_found_it(enabled, q1, q1_hd, q5):
+    q_full = parse_query("ans(S,C) <- enrolled(S,C,R), teaches(P,C,A), parent(P,S).")
+    q_bad, db_bad = parse_query("ans(X) <- r(X,Y)."), parse_database("r(a).")
+    db5 = parse_database("a(x,x,x,x,x).")
+    calls = [
+        (partial(eval_boolean, q1, DB1), None),
+        (partial(eval_full, q_full, DB1), None),
+        (partial(eval_full, q1, DB1), None),
+        (partial(shrink, q1, DB1, q1_hd), None),
+        (partial(eval_boolean, q_bad, db_bad), DatabaseFormatError),
+        (partial(eval_full, q_bad, db_bad), DatabaseFormatError),
+        (partial(shrink, q_bad, db_bad, trivial_hd(q_bad)), DatabaseFormatError),
+        (partial(eval_boolean, q5, db5, k_cap=1), InconclusiveError),
+        (partial(eval_full, q5, db5, k_cap=1), InconclusiveError),
+    ]
+    for call, error in calls:
+        with _collector(enabled):
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            assert gc.isenabled() == enabled, call
+
+
+def test_boolean_head_eval_full_keeps_the_pause(monkeypatch, q1):
+    """eval_full of a Boolean head calls eval_boolean inside its own pause,
+    and the inner call leaves the collector off until eval_full returns."""
+    seen = []
+    real = evaluate.eval_boolean
+
+    def inner(*args):
+        seen.append(gc.isenabled())
+        out = real(*args)
+        seen.append(gc.isenabled())
+        return out
+
+    monkeypatch.setattr(evaluate, "eval_boolean", inner)
+    with _collector(True):
+        assert evaluate.eval_full(q1, DB1) == [()]
+        assert gc.isenabled()
+    assert seen == [False, False]
+
+
+def test_eval_full_runs_no_collection():
+    """A star's 10,000 answer tuples, with their sets and lists, start 15
+    collections at the default thresholds if the collector runs; paused, it
+    starts none."""
+    q = parse_query("ans(A,B,C,D) <- r(A,B), s(A,C), u(A,D).")
+    consts = [f"c{i}" for i in range(10)]
+    pairs = frozenset((a, b) for a in consts for b in consts)
+    db = Database(dict.fromkeys("rsu", pairs), dict.fromkeys("rsu", 2))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    with _collector(True):
+        gc.callbacks.append(hook)
+        try:
+            rows = eval_full(q, db)
+        finally:
+            gc.callbacks.remove(hook)
+    assert len(rows) == 10**4
+    assert starts == []

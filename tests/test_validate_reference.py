@@ -35,7 +35,7 @@ from htd.hypertree import (
     complete_hd,
     hd_to_jointree,
     is_complete,
-    treecomp,
+    treecomps,
     validate_hd,
     validate_jointree,
     validate_nf,
@@ -180,7 +180,7 @@ def nf_treecomps(q, h):
     report = validate_nf(q, h)
     if not report.valid:
         return report.violations, None
-    return report.violations, {v.id: treecomp(q, h, v.id) for v in h}
+    return report.violations, treecomps(q, h)
 
 
 def ref_is_complete(q, h):
