@@ -20,7 +20,10 @@ and dicts form no reference cycles, so reference counting frees every object
 they drop and the collector has nothing to find; left on, it would only
 rescan the growing tables each time their allocations pass its threshold.
 Nothing waits for it, so memory is unchanged, and a caller that disabled the
-collector keeps it disabled.
+collector keeps it disabled.  The switch is process-wide and the pause
+assumes one evaluating thread: a change another thread makes to it during a
+call is undone when the call returns, and a thread that starts evaluating
+while another's pause is on loses its own pause when that one ends.
 """
 
 from __future__ import annotations

@@ -402,28 +402,39 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def treecomps(q: ConjunctiveQuery, h: Hypertree) -> dict[int, frozenset[str]]:
-    """Every vertex's treecomp: var(Q) at the root, else its [parent]-component
-    chi(T_v) - chi(parent).  One validate_nf call, then one bottom-up pass;
-    raises InvalidDecompositionError unless h is in normal form."""
+def _nf_masks(q: ConjunctiveQuery, h: Hypertree) -> tuple[_Index, dict[int, int]]:
+    """The variable index of q and chi(T_v) of every vertex as a mask; raises
+    InvalidDecompositionError unless h is in normal form."""
     report = validate_nf(q, h)
     if not report.valid:
         raise InvalidDecompositionError(
             f"not in normal form: {report.violations[0]}"
         )
     idx = _Index(q)
-    below = h._chi_below(idx)
-    return {
-        v.id: q.variables() if v.parent is None
-        else idx.unmask(below[v.id] & ~idx.mask(h.vertices[v.parent].chi))
-        for v in h
-    }
+    return idx, h._chi_below(idx)
+
+
+def _treecomp(
+    q: ConjunctiveQuery, h: Hypertree, idx: _Index, below: dict[int, int], vid: int
+) -> frozenset[str]:
+    p = h.parent[vid]
+    if p is None:
+        return q.variables()
+    return idx.unmask(below[vid] & ~idx.mask(h.vertices[p].chi))
+
+
+def treecomps(q: ConjunctiveQuery, h: Hypertree) -> dict[int, frozenset[str]]:
+    """Every vertex's treecomp: var(Q) at the root, else its [parent]-component
+    chi(T_v) - chi(parent).  One validate_nf call, then one bottom-up pass;
+    raises InvalidDecompositionError unless h is in normal form."""
+    idx, below = _nf_masks(q, h)
+    return {v.id: _treecomp(q, h, idx, below, v.id) for v in h}
 
 
 def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
     """var(Q) at the root, else its [parent]-component chi(T_vid) - chi(parent):
-    treecomps(q, h)[vid]."""
-    return treecomps(q, h)[vid]
+    treecomps(q, h)[vid], unmasking only that one."""
+    return _treecomp(q, h, *_nf_masks(q, h), vid)
 
 
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:

@@ -517,6 +517,8 @@ def test_eval_full_root_shapes_match_brute_force(shape, frozen_heap):
             expect = brute_force_eval(q, db)
             assert _acyclic(eval_full, q, db, hd=hd) == expect
             assert _acyclic(eval_boolean, q, db) == bool(expect)
+            inst = _acyclic(shrink, q, db, hd)
+            assert eval_boolean(inst.query, inst.db) == bool(expect)
             answered += bool(expect)
         assert answered > 20
 
