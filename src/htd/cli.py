@@ -11,6 +11,7 @@ import sys
 from typing import Optional
 
 from . import evaluate, hardness, oracle
+from .components import _Index
 from .detect import decompose, hypertree_width
 from .errors import (
     DatabaseFormatError,
@@ -142,7 +143,7 @@ def cmd_eval(args) -> int:
 
 def cmd_acyclic(args) -> int:
     q = parse_query(_read(args.query))
-    acyclic = decompose(q, 1) is not None  # width 1 exactly when acyclic
+    acyclic = _Index(q).acyclic()  # width 1 exactly when acyclic
     print("acyclic" if acyclic else "cyclic")
     return EXIT_OK if acyclic else EXIT_NO
 

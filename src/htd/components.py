@@ -12,6 +12,7 @@ also runs) and the normal-form validator share, and that ``v_components``
 wraps.  ``_Index.components`` is the one cache of components: per
 separator it keeps those found so far, so the search, which splits a
 separator only inside the component it searches, fills it lazily.
+``_Index.acyclic`` decides width 1 without a search.
 """
 
 from __future__ import annotations
@@ -106,6 +107,53 @@ class _Index:
             comps = rest
         comps.sort(key=lambda c: c & -c)  # by least variable bit
         return comps
+
+    def acyclic(self) -> bool:
+        """True iff the query is acyclic, that is of hypertree width 1.
+
+        GYO ear removal over the distinct atom masks, with the holders of
+        each variable (Tarjan and Yannakakis 1984): an edge loses its
+        solitary variables and is dropped when it is empty or a holder of
+        its rarest variable covers it.  Only a variable falling to one
+        holder can let an edge go, so only then is that holder queued
+        again: linear in the total arity apart from the cover tests.
+        """
+        edges = list(dict.fromkeys(m for m in self.atom_masks if m))
+        holders: dict[int, set[int]] = {}
+        for j, m in enumerate(edges):
+            while m:
+                x = m & -m
+                holders.setdefault(x, set()).add(j)
+                m ^= x
+        left = len(edges)
+        queue = list(range(left))
+        while queue:
+            j = queue.pop()
+            e = edges[j]
+            if e < 0:  # dropped already
+                continue
+            m, rarest = e, 0
+            while m:
+                x = m & -m
+                m ^= x
+                n = len(holders[x])
+                if n == 1:
+                    e ^= x
+                elif not rarest or n < len(holders[rarest]):
+                    rarest = x
+            if e and not any(h != j and not e & ~edges[h] for h in holders[rarest]):
+                edges[j] = e
+                continue
+            edges[j] = -1
+            left -= 1
+            while e:
+                x = e & -e
+                e ^= x
+                rest = holders[x]
+                rest.remove(j)
+                if len(rest) == 1:
+                    queue.extend(rest)
+        return not left
 
     def atoms_of(self, comp: int) -> list[int]:
         return [i for i in self.var_atoms if self.atom_masks[i] & comp]

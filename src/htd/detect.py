@@ -2,9 +2,12 @@
 
 ``decompose`` is a memoized top-down search over separator candidates that
 builds a witness decomposition in normal form; ``normalize_hd`` runs the
-same search over the labels of the tree it is given, ``hypertree_width``
-asks it for k = 1, 2, ... and ``is_acyclic`` for k = 1.  The oracles that
-check it are in ``oracle``.
+same search over the labels of the tree it is given.  Width 1 is
+acyclicity, which ``_Index.acyclic`` decides in linear time, so
+``hypertree_width`` asks the search for k = 1, 2, ... on an acyclic query
+and for k = 2, 3, ... on a cyclic one, all on one index, and
+``is_acyclic`` asks it for k = 1 only on an acyclic query.  The oracles
+that check it are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -156,7 +159,13 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
     """A normal-form decomposition of width <= k, or None if none exists."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    idx = _Index(q)
+    return _decompose(q, _Index(q), k)
+
+
+def _decompose(q: ConjunctiveQuery, idx: _Index, k: int) -> Optional[Hypertree]:
+    """``decompose(q, k)`` on idx, the index of q.  The index's component
+    cache depends on the separator alone, so the steps of one
+    ``hypertree_width`` call share it."""
     if not idx.var_atoms:
         return _trivial_tree(q)
     return _search_tree(
@@ -237,22 +246,25 @@ def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
 def hypertree_width(
     q: ConjunctiveQuery, k_max: Optional[int] = None
 ) -> Optional[tuple[int, Hypertree]]:
-    """Smallest width and a witness, searching k = 1..k_max."""
-    bound = max(1, sum(1 for a in q.body if a.variables()))
+    """Smallest width and a witness, searching k = 1..k_max; k = 1 only
+    when the query is acyclic."""
+    idx = _Index(q)
+    bound = max(1, len(idx.var_atoms))
     if k_max is not None:
         if k_max < 1:
             raise ValueError("k must be at least 1")
         bound = min(bound, k_max)
-    for k in range(1, bound + 1):
-        h = decompose(q, k)
+    for k in range(1 if idx.acyclic() else 2, bound + 1):
+        h = _decompose(q, idx, k)
         if h is not None:
             return k, h
     return None
 
 
 def is_acyclic(q: ConjunctiveQuery) -> Optional[JoinTree]:
-    """A join tree of the query, or None if the query is cyclic."""
-    h = decompose(q, 1)
-    if h is None:
+    """A join tree of the query, from its width-1 witness, or None if the
+    query is cyclic."""
+    idx = _Index(q)
+    if not idx.acyclic():
         return None
-    return hd_to_jointree(q, complete_hd(q, h))
+    return hd_to_jointree(q, complete_hd(q, _decompose(q, idx, 1)))

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htd import parse_query
+from htd import decompose, gyo_acyclic, parse_query
 from htd.components import (
     _Index,
     atoms_of_component,
@@ -346,3 +346,86 @@ def test_candidates_skip_variable_free_atoms():
     assert len(idx.candidates(4)) == 15
     # at k=2: (1) (3) (4) (6) (1,3) (1,4) (1,6) (3,4) (3,6) (4,6)
     assert idx.candidate_bits(2)[6] == sum(1 << p for p in (3, 6, 8, 9))
+
+
+# --- the linear acyclicity test ---------------------------------------------
+
+
+def assert_acyclic_agrees(q):
+    """_Index.acyclic, the oracle's ear removal and the width-1 search agree."""
+    fast = _Index(q).acyclic()
+    assert fast == gyo_acyclic(q) == (decompose(q, 1) is not None), (fast, q)
+    return fast
+
+
+@pytest.mark.parametrize(
+    "text, acyclic",
+    [
+        ("ans <- .", True),
+        ("ans <- g, h(a), u(b,c).", True),  # only variable-free atoms
+        ("ans <- r(X,Y), r(X,Y), s(Y,X).", True),  # duplicate edges
+        ("ans <- r(X,Y), s(Y,Z), t(Z,X), r(X,Y), s(Y,Z).", False),
+        ("ans <- r(X,X), s(X,Y,Y), g.", True),  # repeated variables
+        ("ans <- r(X,Y), s(Y,Z), t(Z,X), u(X,Y,Z).", True),  # covered triangle
+        ("ans <- r(X,Y), s(Y,Z), t(Z,X), u(A,B), w(B,C).", False),
+        ("ans <- r(X,Y), s(Y,Z), u(A,B), w(B,C), t(C,A).", False),
+        ("ans <- r(X,Y), s(Y,Z), u(A,B), w(B,C), g(a).", True),  # two parts
+        ("ans <- r(X,Y,Z), s(X,Y,W), t(X,Z,W).", False),
+        ("ans <- r(X,Y,Z,W), s(X,Y), t(Y,Z), u(Z,W), w(W,X).", True),
+    ],
+)
+def test_acyclic_hand_cases(text, acyclic):
+    assert assert_acyclic_agrees(parse_query(text)) == acyclic
+
+
+def test_acyclic_agrees_on_rand_query():
+    found = set()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        q = util.rand_query(
+            rng,
+            max_atoms=rng.choice([3, 5, 8]),
+            max_vars=rng.choice([4, 6, 9]),
+            max_arity=rng.choice([1, 2, 3, 4]),
+            consts=["a"],
+        )
+        found.add(assert_acyclic_agrees(q))
+    assert found == {True, False}
+
+
+def family_members(max_atoms, sizes=None):
+    """(family, n) for every family member of at most max_atoms atoms, or
+    only for the sizes given."""
+    for family, edges in sorted(util.FAMILIES.items()):
+        for n in sizes or range(1, max_atoms + 1):
+            if len(edges(n, random.Random(n))) <= max_atoms:
+                yield family, n
+
+
+def family_acyclic(family, n):
+    """Paths, stars and trees are acyclic; a cycle or clique from n = 3 on,
+    and a 2 x n grid from n = 2 on, is not."""
+    return family in ("path", "star", "tree") or n < (2 if family == "grid2x" else 3)
+
+
+@pytest.mark.parametrize(
+    "family, n", family_members(200, (1, 2, 3, 4, 5, 6, 9, 16, 33, 64, 200))
+)
+def test_acyclic_agrees_on_families(family, n):
+    q = util.family_query(family, n, random.Random(n), ground=n % 2)
+    assert assert_acyclic_agrees(q) == family_acyclic(family, n)
+
+
+@pytest.mark.slow
+def test_acyclic_agrees_on_every_family_member():
+    for family, n in family_members(200):
+        q = util.family_query(family, n, random.Random(n), ground=n % 2)
+        assert assert_acyclic_agrees(q) == family_acyclic(family, n)
+
+
+def test_acyclic_on_long_cycles():
+    """2,000-atom cycles and ladders, whose k=1 search takes seconds, are
+    cyclic; a path of the same size is not."""
+    for family in ("cycle", "grid2x", "path"):
+        q = util.family_query(family, 2000, random.Random(family))
+        assert _Index(q).acyclic() == (family == "path") == gyo_acyclic(q)
