@@ -289,3 +289,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -139,7 +139,8 @@ class AcyclicInstance:
 def shrink(q: ConjunctiveQuery, db: Database, h: Hypertree) -> AcyclicInstance:
     """Turn (Q, DB) into an acyclic instance along any valid decomposition,
     keeping one atom per vertex of h: unlike evaluation, it does not contract
-    the tree."""
+    the tree.  Raises InvalidDecompositionError unless h is valid."""
+    _require_hd(q, h)
     tables = _vertex_tables(q, h, db)
     words = db.encoding.constants
     order = h.preorder()
@@ -179,19 +180,15 @@ def _vertex_tables(
         for vid in covers:
             folded[vid].add(i)
     scans: dict[tuple, tuple[Schema, Rows]] = {}
-    parts_of: dict[tuple, tuple[Schema, Rows]] = {}
     out: dict[int, tuple[Schema, Rows]] = {}
     for v in h:
         parts = []
         for i in sorted(folded[v.id]):
             a = q.body[i]
             scan = (a.relation, a.args)
-            overlap = tuple(sorted(avars[i] & v.chi))
-            if (scan, overlap) not in parts_of:
-                if scan not in scans:
-                    scans[scan] = _atom_rows(a, db)
-                parts_of[scan, overlap] = _project(*scans[scan], overlap)
-            parts.append(parts_of[scan, overlap])
+            if scan not in scans:
+                scans[scan] = _atom_rows(a, db)
+            parts.append(_project(*scans[scan], tuple(sorted(avars[i] & v.chi))))
         schema, rows = _generic_join(parts)
         chi = tuple(sorted(v.chi))
         out[v.id] = _project(schema, rows, chi) if rows else (chi, set())
@@ -349,13 +346,12 @@ def _reduce(hd: Hypertree, rels: dict, down: bool) -> None:
     """Yannakakis' semijoin passes in place: bottom-up, each vertex keeps the
     rows that meet every child's; with down, then top-down, each child keeps
     the rows that meet its parent's (the full reducer)."""
-    order = hd.preorder()
-    for vid in reversed(order):
+    for vid in reversed(hd._topdown):
         schema, rows = rels[vid]
         for c in hd.children[vid]:
             rows = _semijoin(schema, rows, *rels[c])
         rels[vid] = schema, rows
-    for vid in order[1:] if down else ():
+    for vid in hd._topdown[1:] if down else ():
         schema, rows = rels[vid]
         rels[vid] = schema, _semijoin(schema, rows, *rels[hd.parent[vid]])
 
@@ -375,7 +371,7 @@ def _extend_up(
     The root spells each sorted list, union and group's own values through
     words before the products, so no answer row is decoded by itself."""
     done: dict[int, tuple[Schema, Schema, dict]] = {}  # cols, key cols, table
-    for vid in reversed(hd.preorder()):
+    for vid in reversed(hd._topdown):  # the root last, which returns
         schema, rows = rels[vid]
         p = hd.parent[vid]
         above = frozenset() if p is None else hd.vertices[p].chi
@@ -431,7 +427,6 @@ def _extend_up(
                     _product([*zip(o), exts], joined) if o else exts
                 )
         done[vid] = cols, conn, table
-    return (), []
 
 
 def _decoded(words: tuple[str, ...], values: Iterable, bare: bool = False) -> list:

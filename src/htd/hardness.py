@@ -22,12 +22,6 @@ class ThreePartitionSystem:
     base: tuple[str, ...]
     partitions: tuple[tuple[frozenset[str], frozenset[str], frozenset[str]], ...]
 
-    def classes(self) -> list[frozenset[str]]:
-        out = []
-        for p in self.partitions:
-            out.extend(p)
-        return out
-
 
 @dataclass(frozen=True)
 class X3CInstance:
@@ -331,25 +325,29 @@ def witness_qd_from_cover(
 
 
 def exact_cover(inst: X3CInstance) -> Optional[list[int]]:
-    """Backtracking exact-cover solver; None when no cover exists."""
-    ground = list(inst.ground)
+    """Backtracking exact-cover solver; None when no cover exists.  Covers the
+    first uncovered element by each fitting subset in turn, on a stack."""
+    ground, sets = inst.ground, inst.sets
     covers_of: dict[str, list[int]] = {x: [] for x in ground}
-    for i, d in enumerate(inst.sets):
+    for i, d in enumerate(sets):
         for x in d:
             covers_of[x].append(i)
-
-    def rec(remaining: set[str], used: list[int]) -> Optional[list[int]]:
-        if not remaining:
-            return list(used)
-        x = min(remaining, key=ground.index)
-        for i in covers_of[x]:
-            d = inst.sets[i]
-            if d <= remaining:
-                used.append(i)
-                found = rec(remaining - d, used)
-                if found is not None:
-                    return found
-                used.pop()
-        return None
-
-    return rec(set(ground), [])
+    remaining, used = set(ground), []
+    tries = []  # per element being covered: its ground position, untried subsets
+    at = 0
+    while remaining:
+        while ground[at] not in remaining:  # every element before at is covered
+            at += 1
+        tries.append((at, iter(covers_of[ground[at]])))
+        while True:  # the deepest element's next fitting subset, else backtrack
+            at, untried = tries[-1]
+            i = next((i for i in untried if sets[i] <= remaining), None)
+            if i is not None:
+                break
+            tries.pop()
+            if not tries:
+                return None
+            remaining |= sets[used.pop()]
+        used.append(i)
+        remaining -= sets[i]
+    return used

@@ -85,9 +85,6 @@ class ConjunctiveQuery:
     def is_boolean(self) -> bool:
         return not any(t.is_variable for t in self.head.args)
 
-    def atom(self, index: int) -> Atom:
-        return self.body[index]
-
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         return f"{self.head} <- {body}."

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -461,6 +465,20 @@ def test_acyclic(files, capsys):
     assert capsys.readouterr().out.strip() == "acyclic"
     assert run(["acyclic", qc]) == 1
     assert capsys.readouterr().out.strip() == "cyclic"
+
+
+@pytest.mark.parametrize("module", ["htd", "htd.cli"])
+def test_python_dash_m_runs_the_cli(files, module):
+    _, put = files
+    qc = put("qc.txt", TRIANGLE_TEXT)
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "acyclic", qc],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "cyclic\n", "")
 
 
 def test_gen_hard_3ps(files, capsys):

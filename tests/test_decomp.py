@@ -208,6 +208,15 @@ def test_complete_hd_rejects_invalid(q1):
         complete_hd(q1, bad)
 
 
+def test_complete_hd_rejects_an_empty_tree_under_atoms():
+    q = parse_query("ans <- r(a).")
+    with pytest.raises(
+        InvalidDecompositionError,
+        match="cannot complete an empty decomposition with atoms present",
+    ):
+        complete_hd(q, Hypertree([]))
+
+
 # --- normal form -----------------------------------------------------------
 
 
@@ -235,6 +244,21 @@ def test_treecomps_validates_once(monkeypatch):
             assert comps[v.id] == frozenset().union(
                 *(h.vertices[u].chi for u in h.subtree_ids(v.id))
             ) - h.vertices[v.parent].chi
+
+
+@pytest.mark.parametrize("comps", [lambda q, h: treecomp(q, h, 1), treecomps])
+def test_treecomps_reject_a_tree_outside_normal_form(comps):
+    # valid, but the child's subtree {A,B} has no [ABC]-component (NF1)
+    q = parse_query("ans <- r(A,B), s(B,C).")
+    h = Hypertree(
+        [
+            HtVertex(0, None, frozenset("ABC"), frozenset({0, 1})),
+            HtVertex(1, 0, frozenset("AB"), frozenset({0})),
+        ]
+    )
+    assert validate_hd(q, h).valid
+    with pytest.raises(InvalidDecompositionError, match="not in normal form: .*NF1"):
+        comps(q, h)
 
 
 @pytest.mark.parametrize("family", ["path", "tree"])
@@ -418,6 +442,16 @@ def test_qd_to_hd_rejects_impure(q1):
     )
     with pytest.raises(InvalidDecompositionError):
         qd_to_hd(q1, d)
+
+
+def test_qd_to_hd_rejects_an_invalid_pure_decomposition():
+    q = parse_query("ans <- r(A,B), s(B,C).")
+    d = QueryDecomposition([QdVertex(0, None, frozenset({("atom", 0)}))])
+    assert d.is_pure()
+    with pytest.raises(
+        InvalidDecompositionError, match="not a valid query decomposition: .*QD1"
+    ):
+        qd_to_hd(q, d)
 
 
 def test_hd_to_jointree_q2(q2):

@@ -13,6 +13,7 @@ from htd import (
     Database,
     DatabaseFormatError,
     InconclusiveError,
+    InvalidDecompositionError,
     brute_force_eval,
     complete_hd,
     decompose,
@@ -154,6 +155,16 @@ def test_shrink_empty_table_keeps_arity():
     for a in inst.query.body:
         assert inst.db.arities[a.relation] == len(a.args)
     assert not eval_boolean(inst.query, inst.db)
+
+
+def test_shrink_rejects_an_invalid_decomposition():
+    # one vertex over r(A,B) leaves s(B,C) uncovered (HD1)
+    q = parse_query("ans <- r(A,B), s(B,C).")
+    db = parse_database("r(a,b). s(c,d).")
+    h = Hypertree([HtVertex(0, None, frozenset("AB"), frozenset({0}))])
+    assert not eval_boolean(q, db)
+    with pytest.raises(InvalidDecompositionError, match="HD1"):
+        shrink(q, db, h)
 
 
 def test_eval_along_an_incomplete_witness(triangle):

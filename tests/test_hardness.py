@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,50 @@ def test_exact_cover_positive():
 def test_exact_cover_negative():
     inst = parse_x3c("2 2\ng1 g2 g3 g4 g5 g6\ng1 g2 g3\ng1 g4 g5\n")
     assert exact_cover(inst) is None
+
+
+def _recursive_exact_cover(inst):
+    """Reference: the first uncovered element in ground order, covered by
+    each fitting subset in input order, one recursion level per subset."""
+    covers_of = {x: [i for i, d in enumerate(inst.sets) if x in d] for x in inst.ground}
+
+    def rec(remaining, used):
+        if not remaining:
+            return list(used)
+        x = min(remaining, key=inst.ground.index)
+        for i in covers_of[x]:
+            if inst.sets[i] <= remaining:
+                found = rec(remaining - inst.sets[i], used + [i])
+                if found is not None:
+                    return found
+        return None
+
+    return rec(set(inst.ground), [])
+
+
+def test_exact_cover_matches_the_recursive_solver():
+    """Same cover, or None; 19 of these instances have a cover only after
+    backtracking."""
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        ground = [f"g{i}" for i in range(3 * rng.randint(1, 5))]
+        sets = [frozenset(rng.sample(ground, 3)) for _ in range(rng.randint(1, 12))]
+        inst = X3CInstance(tuple(ground), tuple(sets))
+        expected = _recursive_exact_cover(inst)
+        assert exact_cover(inst) == expected
+        found += expected is not None
+    assert 20 < found < 280
+
+
+def test_exact_cover_of_many_disjoint_subsets():
+    """One subset per ground triple: 1,200 subsets, within no recursion
+    limit and with no scan of the ground set per step."""
+    ground = tuple(f"g{i}" for i in range(3600))
+    sets = tuple(frozenset(ground[3 * i : 3 * i + 3]) for i in range(1200))
+    start = time.perf_counter()
+    assert exact_cover(X3CInstance(ground, sets)) == list(range(1200))
+    assert time.perf_counter() - start < 5
 
 
 # --- reduction query -------------------------------------------------------
