@@ -12,12 +12,20 @@ also runs) and the normal-form validator share, and that ``v_components``
 wraps.  ``_Index.components`` is the one cache of components: per
 separator it keeps those found so far, so the search, which splits a
 separator only inside the component it searches, fills it lazily.
-``_Index.acyclic`` decides width 1 without a search.
+
+The search hands ``components`` the atoms meeting its component, which it
+collects in its one pass over the atoms, so a merge walks only those.  Its
+component is connected, so every piece of it outside the separator holds a
+neighbour of the separator's variables in it: when there is at most one
+such neighbour, which the index's per-variable neighbour masks tell, the
+rest of the component is one piece and nothing is merged.  That holds at
+every level of a path.  ``_Index.acyclic`` decides width 1 without a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from math import comb
 from typing import Iterable
@@ -45,7 +53,8 @@ class _Index:
     ``pieces(free)`` is the one merge loop.  ``components(sep, within)``
     caches, per separator mask, the components found so far, and splits
     only the part of within that no earlier call covered, so one index
-    serves every separator a caller asks about.
+    serves every separator a caller asks about.  ``_neighbours`` is built
+    on first use, by the search alone.
     """
 
     def __init__(self, q: ConjunctiveQuery):
@@ -73,27 +82,65 @@ class _Index:
             m ^= low
         return frozenset(out)
 
-    def components(self, sep: int, within: int = -1) -> tuple[int, ...]:
+    @cached_property
+    def _neighbours(self) -> list[int]:
+        """Per variable position, the variables that share an atom with it,
+        itself among them."""
+        out = [0] * len(self.vars)
+        for m in self._merge_order:
+            rest = m
+            while rest:
+                x = rest & -rest
+                out[x.bit_length() - 1] |= m
+                rest ^= x
+        return out
+
+    def components(
+        self, sep: int, within: int = -1, atoms: list[int] | None = None
+    ) -> tuple[int, ...]:
         """Masks of the [sep]-components found so far, by least bit: at
         least those inside within, by default every variable, of which
         within minus sep must be a union of whole [sep]-components.  Only
         the part of within that no call split before is split.
+
+        atoms, for a within that is one connected piece, are the masks of
+        the atoms meeting it in merge order, or none if within is one
+        variable.  Then every [sep]-component inside within holds a
+        neighbour of within & sep, so if that has at most one neighbour
+        outside sep, within minus sep is one component; the check stops at
+        the second neighbour, and a single variable has no neighbour outside
+        itself and sep.  Otherwise only atoms are merged.
         """
         known, comps = self._comps.get(sep) or (sep, ())
-        if within & ~known:
-            new = self.pieces(within & ~known)
+        free = within & ~known
+        if free:
+            if atoms is None:
+                new = self.pieces(free)
+            else:
+                nbrs, rest = self._neighbours, within & ~sep
+                m, seen = within & sep, 0
+                while m and not seen & (seen - 1):
+                    x = m & -m
+                    seen |= nbrs[x.bit_length() - 1] & rest
+                    m ^= x
+                # with at most one neighbour, rest is one component, and
+                # free, a union of components inside it, is all of it
+                new = self.pieces(free, atoms) if seen & (seen - 1) else [free]
             comps = tuple(sorted(comps + tuple(new), key=lambda c: c & -c))
             self._comps[sep] = (known | within, comps)
         return comps
 
-    def pieces(self, free: int) -> list[int]:
+    def pieces(self, free: int, atoms: list[int] | None = None) -> list[int]:
         """Masks of the connected pieces of free, each atom restricted to
-        free, by least variable bit.
+        free, by least variable bit.  atoms, by default every distinct atom
+        mask in merge order, must hold every atom meeting free.
 
         When free is a union of [V]-components for some V, these are exactly
         those components; the width search passes such unions.
         """
-        edges = [m & free for m in self._merge_order if m & free]
+        if atoms is None:
+            atoms = self._merge_order
+        edges = [m & free for m in atoms if m & free]
         comps: list[int] = []
         for e in edges:
             merged = e

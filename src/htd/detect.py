@@ -19,8 +19,8 @@ from .hypertree import (
     Hypertree,
     HtVertex,
     JoinTree,
-    complete_hd,
-    hd_to_jointree,
+    _complete_hd,
+    _hd_to_jointree,
     validate_nf,
 )
 from .model import ConjunctiveQuery, atoms_vars
@@ -60,20 +60,31 @@ class _Search:
     A candidate is split only inside the component of the state that tries
     it, through ``idx.components``, which caches the components found so
     far per separator; the search itself caches no components.
+
+    ``atoms`` holds the distinct atom masks in the index's merge order, each
+    with the OR of ``atom_bits`` over its atoms.  A state makes one pass
+    over it for its border, its meet bitset and the masks meeting its
+    component, which are all that a split of the component merges, and
+    none when the separator leaves the component's rest one neighbour
+    (``_Index.components``).  A component of one variable x makes no pass:
+    its atoms are those holding x, whose variables are x's neighbour mask
+    and whose candidates are ``var_bits[x]``, and no split of it merges.
     """
 
     def __init__(self, idx: _Index, cands: list[int], atom_bits: dict[int, int]):
         self.idx = idx
         self.cands = cands
-        self.atom_bits = atom_bits
         # bit p of var_bits[x]: candidate p contains the variable whose bit is x
         self.var_bits: dict[int, int] = {}
+        meets: dict[int, int] = {}
         for i, bits in atom_bits.items():
             m = idx.atom_masks[i]
+            meets[m] = meets.get(m, 0) | bits
             while m:
                 x = m & -m
                 self.var_bits[x] = self.var_bits.get(x, 0) | bits
                 m ^= x
+        self.atoms = [(m, meets[m]) for m in idx._merge_order]
         self._killed: dict[int, int] = {}
         self.memo: dict[int, object] = {}
 
@@ -100,10 +111,17 @@ class _Search:
         again after each failed one, which found new failures.
         """
         idx, memo = self.idx, self.memo
-        variables = meet = 0
-        for i in idx.atoms_of(comp):
-            variables |= idx.atom_masks[i]
-            meet |= self.atom_bits[i]
+        if comp & (comp - 1):
+            variables = meet = 0
+            met = []  # the atoms meeting comp, in merge order
+            for m, bits in self.atoms:
+                if m & comp:
+                    variables |= m
+                    meet |= bits
+                    met.append(m)
+        else:  # one variable x: the atoms holding x span its neighbour mask
+            variables = idx._neighbours[comp.bit_length() - 1]
+            meet, met = self.var_bits[comp], []
         cover = (1 << len(self.cands)) - 1
         m = variables & ~comp  # the border
         while m:
@@ -117,7 +135,7 @@ class _Search:
             kids = []
             # candidate p covers the border, so comp less its variables is
             # a union of whole components of it
-            for sub in idx.components(self.cands[p], comp):
+            for sub in idx.components(self.cands[p], comp, met):
                 if sub & comp:
                     w = memo[sub] if sub in memo else (yield sub)
                     if w is None:
@@ -263,8 +281,9 @@ def hypertree_width(
 
 def is_acyclic(q: ConjunctiveQuery) -> Optional[JoinTree]:
     """A join tree of the query, from its width-1 witness, or None if the
-    query is cyclic."""
+    query is cyclic.  The search builds only valid decompositions, so the
+    witness is completed and collapsed without being validated again."""
     idx = _Index(q)
     if not idx.acyclic():
         return None
-    return hd_to_jointree(q, complete_hd(q, _decompose(q, idx, 1)))
+    return _hd_to_jointree(q, _complete_hd(q, _decompose(q, idx, 1)))

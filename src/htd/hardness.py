@@ -31,12 +31,13 @@ class X3CInstance:
     sets: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if len(self.ground) != len(set(self.ground)):
+        ground = set(self.ground)
+        if len(self.ground) != len(ground):
             raise ValueError("ground elements must be distinct")
         if len(self.ground) % 3 or not self.ground:
             raise ValueError("ground set size must be a positive multiple of 3")
         for d in self.sets:
-            if len(d) != 3 or not d <= set(self.ground):
+            if len(d) != 3 or not d <= ground:
                 raise ValueError(f"not a 3-element subset of the ground set: {sorted(d)}")
         if not self.sets:
             raise ValueError("at least one subset is required")

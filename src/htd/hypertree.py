@@ -346,6 +346,11 @@ def _strong_covers(covers: list[list[int]], h: Hypertree) -> list[list[int]]:
 def complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     """Attach a leaf per atom lacking a strong cover; width never grows."""
     _require_hd(q, h)
+    return _complete_hd(q, h)
+
+
+def _complete_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
+    """``complete_hd`` of a tree known to be a decomposition of q."""
     verts = dict(h.vertices)
     next_id = max(verts, default=-1) + 1
     covers = h._covers(q)
@@ -461,6 +466,12 @@ def hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
     _require_hd(q, h)
     if h.width() > 1:
         raise InvalidDecompositionError(f"width {h.width()} > 1")
+    return _hd_to_jointree(q, h)
+
+
+def _hd_to_jointree(q: ConjunctiveQuery, h: Hypertree) -> JoinTree:
+    """``hd_to_jointree`` of a tree known to be a decomposition of q of
+    width 1; raises InvalidDecompositionError unless it is complete."""
     strong = _strong_covers(h._covers(q), h)
     if not all(strong):
         raise InvalidDecompositionError("decomposition is not complete")

@@ -506,6 +506,23 @@ def test_hd_to_jointree_rejects_wide(q1, q1_hd):
         hd_to_jointree(q1, q1_hd)
 
 
+def test_hd_to_jointree_rejects_invalid():
+    # a complete width-1 tree whose Y-holders are apart (HD2)
+    q = parse_query("ans <- r(X,Y), s(Y,Z), t(Z,W).")
+    h = Hypertree(
+        [
+            HtVertex(0, None, frozenset("XY"), frozenset({0})),
+            HtVertex(1, 0, frozenset("ZW"), frozenset({2})),
+            HtVertex(2, 1, frozenset("YZ"), frozenset({1})),
+        ]
+    )
+    with pytest.raises(
+        InvalidDecompositionError,
+        match="not a valid hypertree decomposition: .*variable Y disconnected",
+    ):
+        hd_to_jointree(q, h)
+
+
 def test_jointree_validator_catches_break(q2):
     # teaches and parent share P but are not adjacent through C'
     jt = JoinTree(

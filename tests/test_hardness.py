@@ -127,6 +127,46 @@ def test_instance_validation():
         X3CInstance(("a", "b"), (frozenset("ab"),))
 
 
+@pytest.mark.parametrize(
+    "ground, sets, message",
+    [
+        ("aab", ["aab"], "ground elements must be distinct"),
+        ("ab", ["ab"], "ground set size must be a positive multiple of 3"),
+        ("", [], "ground set size must be a positive multiple of 3"),
+        ("abc", ["ab"], "not a 3-element subset of the ground set: ['a', 'b']"),
+        ("abc", ["abc", "abd"], "not a 3-element subset of the ground set: ['a', 'b', 'd']"),
+        ("abcdef", ["abcd"], "not a 3-element subset of the ground set: ['a', 'b', 'c', 'd']"),
+        ("abc", [], "at least one subset is required"),
+    ],
+)
+def test_instance_validation_messages(ground, sets, message):
+    with pytest.raises(ValueError) as err:
+        X3CInstance(tuple(ground), tuple(frozenset(d) for d in sets))
+    assert str(err.value) == message
+
+
+class _CountedGround(tuple):
+    """A ground tuple that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_large_instance_reads_its_ground_once():
+    """The subset check reads one set of the ground, built once: 1,200
+    subsets of 3,600 elements are checked in one pass over the ground, not
+    one pass per subset."""
+    ground = _CountedGround(f"g{i}" for i in range(3600))
+    sets = tuple(frozenset(ground[3 * i : 3 * i + 3]) for i in range(1200))
+    ground.passes = 0
+    inst = X3CInstance(ground, sets)
+    assert ground.passes == 1
+    assert len(inst.sets) == 1200
+
+
 # --- exact cover -----------------------------------------------------------
 
 

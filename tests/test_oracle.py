@@ -81,7 +81,7 @@ def test_search_and_evaluation_define_no_oracle():
         assert getattr(htd, name) is getattr(oracle, name)
 
 
-def _merge_all(self, free: int) -> list[int]:
+def _merge_all(self, free: int, atoms=None) -> list[int]:
     """A broken ``_Index.pieces``: all of free as one piece."""
     joined = 0
     for m in self.atom_masks:

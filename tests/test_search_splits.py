@@ -104,8 +104,8 @@ def reduction_corpus():
     assert decompose(q, 4) is not None
 
 
-def shape_corpus(family):
-    for n in (3, 8, 30):
+def shape_corpus(family, sizes=(3, 8, 30)):
+    for n in sizes:
         q = util.family_query(family, n, random.Random(n), ground=1)
         for k in (1, 2):
             decompose(q, k)
@@ -153,6 +153,71 @@ def test_memo_keys_and_dead_masks(searches, corpus):
         assert any(s._killed for s in searches)
 
 
+SPLIT_CORPORA = {
+    **CORPORA,
+    **{f: partial(shape_corpus, f) for f in ("tree", "grid2x")},
+    "clique": partial(shape_corpus, "clique", (3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("corpus", list(SPLIT_CORPORA))
+def test_search_pieces_are_the_whole_split(monkeypatch, corpus):
+    """For every state and every separator it tries, the components inside
+    the state's component are the pieces of comp minus the separator that a
+    merge over every atom finds, whether the one-neighbour rule or a merge
+    over the atoms meeting comp found them.  A state of one variable, which
+    never merges, hands over no atoms."""
+    ruled = merged = 0
+    components, pieces = _Index.components, _Index.pieces
+    merges = []
+
+    def counted(self, free, *atoms):
+        merges.append(bool(atoms))
+        return pieces(self, free, *atoms)
+
+    def checked(self, sep, within=-1, atoms=None):
+        nonlocal ruled, merged
+        if atoms is None:
+            return components(self, sep, within)
+        if within & (within - 1):
+            assert atoms == [m for m in self._merge_order if m & within]
+        else:
+            assert atoms == []
+        merges.clear()
+        out = components(self, sep, within, atoms)
+        ruled += not merges
+        merged += any(merges)
+        assert [c for c in out if c & within] == pieces(self, within & ~sep), sep
+        return out
+
+    monkeypatch.setattr(_Index, "pieces", counted)
+    monkeypatch.setattr(_Index, "components", checked)
+    SPLIT_CORPORA[corpus]()
+    assert ruled > 0
+    assert merged > 0 or corpus == "path"
+
+
+def test_path_split_work_is_linear(monkeypatch):
+    """The atoms meeting free, summed over every pieces call: the top-level
+    split walks the path once, and so does the root's first candidate,
+    which cuts it in two.  Below, every separator leaves its state's rest
+    one neighbour, so nothing is merged; re-merging the rest at each level
+    would make this about n squared."""
+    n = 400
+    q = util.family_query("path", n, random.Random(n))
+    met = []
+    pieces = _Index.pieces
+
+    def counted(self, free, *atoms):
+        met.append(sum(1 for m in self.atom_masks if m & free))
+        return pieces(self, free, *atoms)
+
+    monkeypatch.setattr(_Index, "pieces", counted)
+    h = decompose(q, 1)
+    assert h is not None and len(h.vertices) == n
+    assert len(met) <= 2 and sum(met) <= 2 * n, met
+
+
 def test_star_split_work_is_linear(monkeypatch):
     """The atoms meeting free, summed over every pieces call: the top-level
     split and the root's first candidate each walk the star once, and each
@@ -163,9 +228,9 @@ def test_star_split_work_is_linear(monkeypatch):
     met = []
     pieces = _Index.pieces
 
-    def counted(self, free):
+    def counted(self, free, *atoms):
         met.append(sum(1 for m in self.atom_masks if m & free))
-        return pieces(self, free)
+        return pieces(self, free, *atoms)
 
     monkeypatch.setattr(_Index, "pieces", counted)
     h = decompose(q, 1)

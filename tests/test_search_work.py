@@ -19,6 +19,7 @@ import pytest
 from htd import decompose, hypertree_width, is_acyclic, parse_query
 from htd import detect
 from htd.components import _Index
+from htd.hypertree import complete_hd, hd_to_jointree, validate_jointree
 
 import util
 
@@ -190,6 +191,20 @@ def test_acyclic_queries_search_k1_on_one_index(searches, indexes):
         indexes[0] = 0
     assert is_acyclic(util.family_query("cycle", 30, random.Random(30))) is None
     assert searches == [] and indexes[0] == 1
+
+
+def test_is_acyclic_builds_one_index(indexes):
+    """is_acyclic completes and collapses its own search witness without
+    validating it again, so the acyclicity test's index is the only one;
+    the join tree is the one the checked public functions build."""
+    for family in ("path", "star", "tree"):
+        q = util.family_query(family, 30, random.Random(family), ground=1)
+        indexes[0] = 0
+        jt = is_acyclic(q)
+        assert indexes[0] == 1
+        want = hd_to_jointree(q, complete_hd(q, decompose(q, 1)))
+        assert jt.parent == want.parent
+        assert validate_jointree(q, jt).valid
 
 
 def witness_corpus():
