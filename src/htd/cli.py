@@ -80,6 +80,8 @@ def _decomposition(q, path: str, reader):
 
 
 def cmd_check(args) -> int:
+    if args.qd and (args.nf or args.complete):
+        raise ValueError("--nf and --complete check hypertree decompositions, not --qd")
     q = parse_query(_read(args.query))
     if args.qd:
         report = validate_qd(q, _decomposition(q, args.decomposition, qd_from_json))

@@ -9,9 +9,9 @@ Components are computed in one place, ``_Index.pieces``: the connected
 pieces of a variable mask, each atom restricted to it.  ``_Index`` is a
 bitmask view of the query that the width search (which ``normalize_hd``
 also runs) and the normal-form validator share, and that ``v_components``
-wraps.  ``_Index.components`` is the one cache of components: per
-separator it keeps those found so far, so the search, which splits a
-separator only inside the component it searches, fills it lazily.
+wraps.  ``_Index.components`` splits on demand and keeps no components:
+the search splits a separator only inside the component it searches, and
+each state tries each separator at most once.
 
 The search hands ``components`` the atoms meeting its component, which it
 collects in its one pass over the atoms, so a merge walks only those.  Its
@@ -50,11 +50,9 @@ class Component:
 class _Index:
     """Bitmask view of a query: one bit per variable, in sorted order.
 
-    ``pieces(free)`` is the one merge loop.  ``components(sep, within)``
-    caches, per separator mask, the components found so far, and splits
-    only the part of within that no earlier call covered, so one index
-    serves every separator a caller asks about.  ``_neighbours`` is built
-    on first use, by the search alone.
+    ``pieces(free)`` is the one merge loop, and ``components(sep, within)``
+    the [sep]-components inside within; the index keeps none of them.
+    ``_neighbours`` is built on first use, by the search alone.
     """
 
     def __init__(self, q: ConjunctiveQuery):
@@ -63,8 +61,6 @@ class _Index:
         self.atom_masks = [self.mask(a.variables()) for a in q.body]
         self.var_atoms = [i for i, m in enumerate(self.atom_masks) if m]
         self._merge_order = _connected_order(self.atom_masks)
-        # per separator mask: (sep and the bits split so far, the components)
-        self._comps: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def mask(self, names: Iterable[str]) -> int:
         """Bits of the names; names that are not variables of Q are ignored."""
@@ -98,10 +94,9 @@ class _Index:
     def components(
         self, sep: int, within: int = -1, atoms: list[int] | None = None
     ) -> tuple[int, ...]:
-        """Masks of the [sep]-components found so far, by least bit: at
-        least those inside within, by default every variable, of which
-        within minus sep must be a union of whole [sep]-components.  Only
-        the part of within that no call split before is split.
+        """Masks of the [sep]-components inside within, by default every
+        variable, by least bit; within minus sep must be a union of whole
+        [sep]-components.
 
         atoms, for a within that is one connected piece, are the masks of
         the atoms meeting it in merge order, or none if within is one
@@ -111,24 +106,17 @@ class _Index:
         the second neighbour, and a single variable has no neighbour outside
         itself and sep.  Otherwise only atoms are merged.
         """
-        known, comps = self._comps.get(sep) or (sep, ())
-        free = within & ~known
-        if free:
-            if atoms is None:
-                new = self.pieces(free)
-            else:
-                nbrs, rest = self._neighbours, within & ~sep
-                m, seen = within & sep, 0
-                while m and not seen & (seen - 1):
-                    x = m & -m
-                    seen |= nbrs[x.bit_length() - 1] & rest
-                    m ^= x
-                # with at most one neighbour, rest is one component, and
-                # free, a union of components inside it, is all of it
-                new = self.pieces(free, atoms) if seen & (seen - 1) else [free]
-            comps = tuple(sorted(comps + tuple(new), key=lambda c: c & -c))
-            self._comps[sep] = (known | within, comps)
-        return comps
+        free = within & ~sep
+        if not free:
+            return ()
+        if atoms is None:
+            return tuple(self.pieces(free))
+        nbrs, m, seen = self._neighbours, within & sep, 0
+        while m and not seen & (seen - 1):
+            x = m & -m
+            seen |= nbrs[x.bit_length() - 1] & free
+            m ^= x
+        return tuple(self.pieces(free, atoms)) if seen & (seen - 1) else (free,)
 
     def pieces(self, free: int, atoms: list[int] | None = None) -> list[int]:
         """Masks of the connected pieces of free, each atom restricted to
@@ -140,18 +128,20 @@ class _Index:
         """
         if atoms is None:
             atoms = self._merge_order
-        edges = [m & free for m in atoms if m & free]
         comps: list[int] = []
-        for e in edges:
-            merged = e
-            rest = []
-            for c in comps:
-                if c & merged:
-                    merged |= c
-                else:
-                    rest.append(c)
-            rest.append(merged)
-            comps = rest
+        last = 0  # the piece merged last: an edge inside it changes nothing
+        for m in atoms:
+            e = m & free
+            if e & ~last:
+                merged = e
+                rest = []
+                for c in comps:
+                    if c & merged:
+                        merged |= c
+                    else:
+                        rest.append(c)
+                rest.append(merged)
+                comps, last = rest, merged
         comps.sort(key=lambda c: c & -c)  # by least variable bit
         return comps
 
@@ -352,8 +342,8 @@ def v_components(q: ConjunctiveQuery, v: Iterable[str]) -> frozenset[Component]:
 
     Names in V that are not variables of Q are ignored.  Each call builds a
     fresh _Index and splits the whole query once; a caller asking about many
-    separators of one query should share one _Index, whose cache keeps each
-    separator's components.
+    separators of one query should share one _Index, which builds the
+    variable bits and the merge order once.
     """
     vset = frozenset(v)
     idx = _Index(q)

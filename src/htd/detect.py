@@ -21,7 +21,7 @@ from .hypertree import (
     JoinTree,
     _complete_hd,
     _hd_to_jointree,
-    validate_nf,
+    _validate_nf,
 )
 from .model import ConjunctiveQuery, atoms_vars
 
@@ -58,8 +58,8 @@ class _Search:
     the failed F whose least variable bit is x.
 
     A candidate is split only inside the component of the state that tries
-    it, through ``idx.components``, which caches the components found so
-    far per separator; the search itself caches no components.
+    it, through ``idx.components``, and no components are cached: each
+    state tries each candidate at most once.
 
     ``atoms`` holds the distinct atom masks in the index's merge order, each
     with the OR of ``atom_bits`` over its atoms.  A state makes one pass
@@ -136,11 +136,10 @@ class _Search:
             # candidate p covers the border, so comp less its variables is
             # a union of whole components of it
             for sub in idx.components(self.cands[p], comp, met):
-                if sub & comp:
-                    w = memo[sub] if sub in memo else (yield sub)
-                    if w is None:
-                        break
-                    kids.append((sub, w))
+                w = memo[sub] if sub in memo else (yield sub)
+                if w is None:
+                    break
+                kids.append((sub, w))
             else:
                 return p, kids
             bits &= ~(low | self._killed_in(comp))
@@ -181,9 +180,8 @@ def decompose(q: ConjunctiveQuery, k: int) -> Optional[Hypertree]:
 
 
 def _decompose(q: ConjunctiveQuery, idx: _Index, k: int) -> Optional[Hypertree]:
-    """``decompose(q, k)`` on idx, the index of q.  The index's component
-    cache depends on the separator alone, so the steps of one
-    ``hypertree_width`` call share it."""
+    """``decompose(q, k)`` on idx, the index of q, so the steps of one
+    ``hypertree_width`` call share its variable bits and merge order."""
     if not idx.var_atoms:
         return _trivial_tree(q)
     return _search_tree(
@@ -242,9 +240,9 @@ def normalize_hd(q: ConjunctiveQuery, h: Hypertree) -> Hypertree:
     over h's λ labels, which exists because every decomposition has a
     normal form built from its own labels.
     """
-    if validate_nf(q, h).valid:
+    report, idx, _ = _validate_nf(q, h)
+    if report.valid:
         return h
-    idx = _Index(q)
     if not idx.var_atoms:  # no variables: the root alone is in normal form
         return Hypertree([h.root])
     cands: dict[tuple[int, ...], int] = {}

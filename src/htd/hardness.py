@@ -84,7 +84,7 @@ def gen_strict_3ps(m: int, k: int) -> ThreePartitionSystem:
     order = list(seed)
     classes: list[set[str]] = [c for p in chosen for c in p]
     membership = [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(m)]
-    sigma_sets = [frozenset(ms) for ms in membership]
+    sigma_sets = {frozenset(ms) for ms in membership}
     # strictness repair: one fresh element per violating class triple
     fresh = 0
     for triple in combinations_with_replacement(range(len(classes)), 3):
@@ -92,7 +92,7 @@ def gen_strict_3ps(m: int, k: int) -> ThreePartitionSystem:
         if tset in sigma_sets:
             continue
         union = set().union(*(classes[t] for t in triple))
-        if union != set(order):
+        if len(union) != len(order):  # every class lies in the base
             continue
         fresh += 1
         a = f"n{fresh}"

@@ -269,6 +269,15 @@ def _check_refs(q: ConjunctiveQuery, labels: Iterable[tuple]) -> None:
 
 def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
     """Check the four hypertree-decomposition conditions."""
+    return _validate_hd(q, h)[0]
+
+
+_Checked = tuple[ValidationReport, _Index, dict[int, int]]
+
+
+def _validate_hd(q: ConjunctiveQuery, h: Hypertree) -> _Checked:
+    """``validate_hd``'s report, with the index of q and ``_chi_below`` of h
+    that condition 4 reads, for the checks that follow it."""
     _check_refs(q, ((v.id, v.lam, v.chi) for v in h))
     violations = []
     # condition 1: every atom with variables has a vertex whose chi covers it
@@ -300,7 +309,7 @@ def validate_hd(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                     "HD4", v.id, f"variables {sorted(bad)} in subtree but not chi"
                 )
             )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)), idx, below
 
 
 def validate_qd(q: ConjunctiveQuery, d: QueryDecomposition) -> ValidationReport:
@@ -323,13 +332,16 @@ def validate_qd(q: ConjunctiveQuery, d: QueryDecomposition) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _require_hd(q: ConjunctiveQuery, h: Hypertree) -> None:
-    """Raise InvalidDecompositionError unless h is a valid decomposition of q."""
-    report = validate_hd(q, h)
+def _require_hd(
+    q: ConjunctiveQuery, h: Hypertree, nf: bool = False
+) -> tuple[_Index, dict[int, int]]:
+    """The index of q and ``_chi_below`` of h; raises InvalidDecompositionError
+    unless h is a valid decomposition of q, in normal form if nf."""
+    report, idx, below = (_validate_nf if nf else _validate_hd)(q, h)
     if not report.valid:
-        raise InvalidDecompositionError(
-            f"not a valid hypertree decomposition: {report.violations[0]}"
-        )
+        what = "in normal form" if nf else "a valid hypertree decomposition"
+        raise InvalidDecompositionError(f"not {what}: {report.violations[0]}")
+    return idx, below
 
 
 def hd_width(h: Hypertree) -> int:
@@ -372,10 +384,16 @@ def is_complete(q: ConjunctiveQuery, h: Hypertree) -> bool:
 
 
 def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
-    """Check the three normal-form conditions, splitting chi(T_r) - chi(r) per r."""
-    _require_hd(q, h)
-    idx = _Index(q)
-    below = h._chi_below(idx)
+    """Check the three normal-form conditions, splitting chi(T_r) - chi(r)
+    once per parent r."""
+    return _validate_nf(q, h)[0]
+
+
+def _validate_nf(q: ConjunctiveQuery, h: Hypertree) -> _Checked:
+    """``validate_nf``, with the index and subtree masks of its decomposition
+    check."""
+    idx, below = _require_hd(q, h)
+    splits: dict[int, set[int]] = {}  # per parent r: its split of chi(T_r)
     violations = []
     for s in h:
         if s.parent is None:
@@ -385,7 +403,9 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
         # can match.  Conditions 1-2 cover every atom meeting chi(T_r) - chi(r)
         # inside T_r, so that part is a union of components: split it alone.
         chi_r = idx.mask(r.chi)
-        if below[s.id] & ~chi_r not in idx.components(chi_r, below[r.id]):
+        if r.id not in splits:
+            splits[r.id] = set(idx.components(chi_r, below[r.id]))
+        if below[s.id] & ~chi_r not in splits[r.id]:
             violations.append(
                 Violation(
                     "NF1",
@@ -404,19 +424,7 @@ def validate_nf(q: ConjunctiveQuery, h: Hypertree) -> ValidationReport:
                     "NF3", s.id, f"parent chi variables {sorted(bad)} missing"
                 )
             )
-    return ValidationReport(tuple(violations))
-
-
-def _nf_masks(q: ConjunctiveQuery, h: Hypertree) -> tuple[_Index, dict[int, int]]:
-    """The variable index of q and chi(T_v) of every vertex as a mask; raises
-    InvalidDecompositionError unless h is in normal form."""
-    report = validate_nf(q, h)
-    if not report.valid:
-        raise InvalidDecompositionError(
-            f"not in normal form: {report.violations[0]}"
-        )
-    idx = _Index(q)
-    return idx, h._chi_below(idx)
+    return ValidationReport(tuple(violations)), idx, below
 
 
 def _treecomp(
@@ -430,16 +438,16 @@ def _treecomp(
 
 def treecomps(q: ConjunctiveQuery, h: Hypertree) -> dict[int, frozenset[str]]:
     """Every vertex's treecomp: var(Q) at the root, else its [parent]-component
-    chi(T_v) - chi(parent).  One validate_nf call, then one bottom-up pass;
-    raises InvalidDecompositionError unless h is in normal form."""
-    idx, below = _nf_masks(q, h)
+    chi(T_v) - chi(parent).  One normal-form check, whose subtree masks give
+    every entry; raises InvalidDecompositionError unless h is in normal form."""
+    idx, below = _require_hd(q, h, nf=True)
     return {v.id: _treecomp(q, h, idx, below, v.id) for v in h}
 
 
 def treecomp(q: ConjunctiveQuery, h: Hypertree, vid: int) -> frozenset[str]:
     """var(Q) at the root, else its [parent]-component chi(T_vid) - chi(parent):
     treecomps(q, h)[vid], unmasking only that one."""
-    return _treecomp(q, h, *_nf_masks(q, h), vid)
+    return _treecomp(q, h, *_require_hd(q, h, nf=True), vid)
 
 
 def qd_to_hd(q: ConjunctiveQuery, d: QueryDecomposition) -> Hypertree:

@@ -136,6 +136,11 @@ def test_check_qd(files, capsys):
     )
     assert run(["check", q, d, "--qd"]) == 0
     assert capsys.readouterr().out == "ok\n"
+    # the normal-form and completeness checks read hypertree decompositions
+    for flag in ("--nf", "--complete"):
+        assert run(["check", q, d, "--qd", flag]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not --qd" in out.err
 
 
 CHAIN_TEXT = "ans <- r(X,Y), s(Y,Z)."

@@ -244,8 +244,8 @@ def assert_lazy_fills_agree(q, rng, seps):
     """For each separator, split within one component, then within the
     union of two others (with some separator bits), then whole, on one
     index; the whole split first and then the same partial ones on another.
-    Each answer holds exactly the components inside what was asked so far,
-    by least bit, and the last is all of them."""
+    Each answer holds exactly the components inside what was asked, by
+    least bit, whatever either index was asked before."""
     lazy, eager = _Index(q), _Index(q)
     for sep in dict.fromkeys(seps):
         want = bfs_components(q, _Index(q), sep)
@@ -254,16 +254,13 @@ def assert_lazy_fills_agree(q, rng, seps):
         rest = sep & rng.getrandbits(len(lazy.vars))
         for c in picks[1:]:
             rest |= c
-        asked = sep
-        for within in (first, rest, -1):  # -1, every bit: the default
-            asked |= within
-            got = lazy.components(sep, within)
-            assert got == tuple(c for c in want if not c & ~asked), (sep, within)
-        assert eager.components(sep) == want, sep
-        for within in (first, rest):
-            assert eager.components(sep, within) == want, (sep, within)
-        for idx in (lazy, eager):
-            assert idx._comps[sep][1] == want, sep
+        asks = [first, rest, -1]  # -1, every bit: the default
+        got = {within: lazy.components(sep, within) for within in asks}
+        for within in reversed(asks):
+            assert eager.components(sep, within) == got[within], (sep, within)
+            inside = tuple(c for c in want if not c & ~within)
+            assert got[within] == inside, (sep, within)
+        assert lazy.components(sep) == want, sep
 
 
 def test_lazy_fills_agree_in_any_order():

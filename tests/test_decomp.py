@@ -229,12 +229,12 @@ def test_fixture_hd_is_nf(q1, q1_hd):
 
 
 def test_treecomps_validates_once(monkeypatch):
-    """The whole map costs one validate_nf, not one per vertex."""
+    """The whole map costs one normal-form check, not one per vertex."""
     q = util.family_query("path", 300, random.Random(7))
     h = decompose(q, 1)
     calls = []
-    real = hypertree.validate_nf
-    monkeypatch.setattr(hypertree, "validate_nf", lambda *a: calls.append(a) or real(*a))
+    real = hypertree._validate_nf
+    monkeypatch.setattr(hypertree, "_validate_nf", lambda *a: calls.append(a) or real(*a))
     comps = treecomps(q, h)
     assert len(calls) == 1
     assert comps[h.root_id] == q.variables()

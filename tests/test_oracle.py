@@ -81,19 +81,17 @@ def test_search_and_evaluation_define_no_oracle():
         assert getattr(htd, name) is getattr(oracle, name)
 
 
-def _merge_all(self, free: int, atoms=None) -> list[int]:
-    """A broken ``_Index.pieces``: all of free as one piece."""
-    joined = 0
-    for m in self.atom_masks:
-        joined |= m & free
-    return [joined] if joined else []
+def _merge_none(self, free: int, atoms=None) -> list[int]:
+    """A broken ``_Index.pieces`` that merges nothing: each atom's part of
+    free is its own piece."""
+    return list(dict.fromkeys(m & free for m in self.atom_masks if m & free))
 
 
 def test_fixpoint_decide_ignores_a_broken_component_split(monkeypatch):
     rng = random.Random(26)
     cases = [(util.rand_query(rng), k) for _ in range(300) for k in (1, 2)]
     want = [fixpoint_decide(q, k) for q, k in cases]
-    monkeypatch.setattr(_Index, "pieces", _merge_all)
+    monkeypatch.setattr(_Index, "pieces", _merge_none)
     assert [fixpoint_decide(q, k) for q, k in cases] == want
     # the mutant does mislead the search
     assert any((decompose(q, k) is not None) != w for (q, k), w in zip(cases, want))

@@ -1,11 +1,8 @@
 """The width search splits each separator only inside the component being
-searched, and the index caches per separator the components found so far.
-
-``_Index._comps[sep] = (known, comps)`` must always hold exactly the
-[sep]-components inside ``known``, by least bit, and ``known`` must be sep
-and their variables (every bit, once the whole query is split), so that the
-search sees the same substates as a search that splits the whole query for
-every candidate.
+searched, and the index keeps no components: every split the search asks
+for must be the pieces of the component minus the separator that a merge
+over every atom finds, so that the search sees the same substates as a
+search that splits the whole query for every candidate.
 
 A state is its component alone: every memo key is a component of its
 border, the variables outside it on the atoms that meet it.
@@ -38,28 +35,6 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(detect, "_Search", Recorded)
     return made
-
-
-def assert_splits_are_components(search):
-    """Check each entry of the index's cache against a split of the
-    complement that bypasses the cache, and return the separators split
-    only inside some of their components.
-
-    Run it before the helpers below: they ask the same index for whole
-    splits, which fill the cache it checks."""
-    idx = search.idx
-    all_vars = (1 << len(idx.vars)) - 1
-    partial_entries = []
-    for sep, (known, comps) in idx._comps.items():
-        union = 0
-        for c in comps:
-            union |= c
-        assert known & all_vars == sep | union, sep
-        whole = idx.pieces(all_vars & ~sep)
-        assert comps == tuple(c for c in whole if not c & ~known), sep
-        if known & all_vars != all_vars:
-            partial_entries.append(sep)
-    return partial_entries
 
 
 def assert_memo_keys_are_components(search):
@@ -118,27 +93,6 @@ CORPORA = {
 }
 
 
-def test_split_cache_on_random_queries(searches):
-    random_corpus()
-    assert any([assert_splits_are_components(s) for s in searches])
-
-
-def test_split_cache_on_reduction_query(searches):
-    reduction_corpus()
-    assert len(searches) == 2
-    for search in searches:
-        assert assert_splits_are_components(search)
-
-
-@pytest.mark.parametrize("family", ["star", "path", "cycle"])
-def test_split_cache_on_shapes(searches, family):
-    shape_corpus(family)
-    partial_seps = [sep for s in searches for sep in assert_splits_are_components(s)]
-    # a star's root separator splits the whole query, and each leaf's
-    # separator finds nothing left to split in its leaf
-    assert partial_seps or family == "star"
-
-
 @pytest.mark.parametrize("corpus", list(CORPORA))
 def test_memo_keys_and_dead_masks(searches, corpus):
     """Every memo key is a component of its border, and the kill sets hold
@@ -146,7 +100,6 @@ def test_memo_keys_and_dead_masks(searches, corpus):
     CORPORA[corpus]()
     assert searches
     for search in searches:
-        assert_splits_are_components(search)
         assert_memo_keys_are_components(search)
         assert_kill_sets_are_failed_components(search)
     if corpus not in ("star", "path"):  # acyclic: no k fails
@@ -187,7 +140,7 @@ def test_search_pieces_are_the_whole_split(monkeypatch, corpus):
         out = components(self, sep, within, atoms)
         ruled += not merges
         merged += any(merges)
-        assert [c for c in out if c & within] == pieces(self, within & ~sep), sep
+        assert list(out) == pieces(self, within & ~sep), sep
         return out
 
     monkeypatch.setattr(_Index, "pieces", counted)

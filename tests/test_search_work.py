@@ -5,9 +5,8 @@ unranked from its index only for the vertices of the tree that is built.
 A state answers its memo hits itself and yields only misses to the driver.
 A candidate that has a component known to fail inside the state's
 component is dropped from the state's candidate bitset before it is split,
-and the search keeps no per-component cache, so a refutation's memory is
-its memo, one kill bitset per variable and the index's components per
-separator.  ``hypertree_width`` searches no k=1 on a cyclic query, and its
+and neither the search nor the index keeps components, so a refutation's
+memory is its memo and one kill bitset per variable.  ``hypertree_width`` searches no k=1 on a cyclic query, and its
 k steps share one index.
 """
 
@@ -19,7 +18,17 @@ import pytest
 from htd import decompose, hypertree_width, is_acyclic, parse_query
 from htd import detect
 from htd.components import _Index
-from htd.hypertree import complete_hd, hd_to_jointree, validate_jointree
+from htd.detect import normalize_hd
+from htd.hypertree import (
+    Hypertree,
+    HtVertex,
+    complete_hd,
+    hd_to_jointree,
+    treecomp,
+    treecomps,
+    validate_jointree,
+    validate_nf,
+)
 
 import util
 
@@ -67,9 +76,9 @@ def searches(monkeypatch):
 @pytest.fixture
 def splits(monkeypatch, searches):
     """The number of tries that reach the split step: each asks the
-    index's cache for its separator's components within the state's
-    component once; a candidate that the kill sets drop makes no try.  The
-    searches are still recorded and checked by ``searches``."""
+    index for its separator's components within the state's component
+    once; a candidate that the kill sets drop makes no try.  The searches
+    are still recorded and checked by ``searches``."""
     calls = [0]
     components = _Index.components
 
@@ -84,18 +93,12 @@ def splits(monkeypatch, searches):
 def test_dead_masks_bound_the_tries(searches, splits):
     """A try that passes the kill sets either solves its state or fails on
     a component that no kill set held yet.  Here the refutation splits
-    5,227 times, once per distinct separator, against 5,228 states; with
+    5,227 times against 5,228 states; with
     per-separator dead masks in place of the kill sets it split 5,449
     times, and with neither 66,556 times."""
     assert decompose(util.reduction_query(), 3) is None  # no exact cover
     (search,) = searches
-    assert splits[0] > 0
-    cached = search.idx._comps
-    assert splits[0] <= len(cached) + len(search.memo), (
-        splits[0],
-        len(cached),
-        len(search.memo),
-    )
+    assert 0 < splits[0] <= len(search.memo), (splits[0], len(search.memo))
 
 
 def grid_query(n):
@@ -207,6 +210,34 @@ def test_is_acyclic_builds_one_index(indexes):
         assert validate_jointree(q, jt).valid
 
 
+def test_validation_builds_one_index(indexes):
+    """The normal-form check reads the index and subtree masks of the
+    decomposition check before it, and treecomps, treecomp and
+    normalize_hd read those of their normal-form check, so each call
+    builds one index, normalize_hd's search included on a tree outside
+    normal form."""
+    q = util.family_query("tree", 200, random.Random(200))
+    h = decompose(q, 1)
+    root = h.root
+    # a copy of the root under it: valid, but outside normal form
+    extra = HtVertex(len(h), root.id, root.chi, root.lam)
+    bad = Hypertree([*h, extra])
+    for call in (
+        lambda: validate_nf(q, h),
+        lambda: validate_nf(q, bad),
+        lambda: treecomps(q, h),
+        lambda: treecomp(q, h, max(h.vertices)),
+        lambda: normalize_hd(q, h),
+        lambda: normalize_hd(q, bad),
+    ):
+        indexes[0] = 0
+        call()
+        assert indexes[0] == 1
+    assert validate_nf(q, h).valid and not validate_nf(q, bad).valid
+    assert normalize_hd(q, h) is h
+    assert validate_nf(q, normalize_hd(q, bad)).valid
+
+
 def witness_corpus():
     """Family members, cyclic ones of width up to 4 among them, and a
     seeded rand_query corpus."""
@@ -232,8 +263,8 @@ def witness_corpus():
 
 
 def test_hypertree_width_witness_is_decompose_witness():
-    """The k steps of one call share an index, and with it the component
-    cache: the witness must still be decompose's, vertex for vertex."""
+    """The k steps of one call share an index: the witness must still be
+    decompose's, vertex for vertex."""
     widths = set()
     for q in witness_corpus():
         k, h = hypertree_width(q)
